@@ -545,12 +545,16 @@ func measureIngest(cfg ingestConfig, contents []benchFile, workers, inflight int
 		addrs[i] = srv.Addr()
 	}
 	dir := director.New()
+	conns, err := client.DialAll(context.Background(), addrs)
+	if err != nil {
+		return nil, err
+	}
 	c, err := client.New(context.Background(), client.Config{
 		Name:                "bench",
 		SuperChunkSize:      256 << 10,
 		Pipeline:            pipeline.Config{Workers: workers},
 		InflightSuperChunks: inflight,
-	}, dir, client.DenseNodes(addrs))
+	}, dir, conns)
 	if err != nil {
 		return nil, err
 	}
@@ -1758,11 +1762,15 @@ func measureAlloc(mb, nNodes int, disablePool bool) (mallocs uint64, allocMB flo
 		servers = append(servers, srv)
 		addrs[i] = srv.Addr()
 	}
+	conns, err := client.DialAll(context.Background(), addrs)
+	if err != nil {
+		return 0, 0, st, 0, err
+	}
 	c, err := client.New(context.Background(), client.Config{
 		Name:             "alloc-bench",
 		SuperChunkSize:   256 << 10,
 		DisableChunkPool: disablePool,
-	}, director.New(), client.DenseNodes(addrs))
+	}, director.New(), conns)
 	if err != nil {
 		return 0, 0, st, 0, err
 	}

@@ -97,12 +97,14 @@ func TestClusterCrashRestartRecovery(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			bc, err := NewBackupClient(BackupClientConfig{
+			bc, err := NewRemote(context.Background(), RemoteConfig{
 				Name:                fmt.Sprintf("stream%d", s),
 				SuperChunkSize:      32 << 10,
 				Workers:             2,
 				InflightSuperChunks: 2,
-			}, dir, addrs)
+				Director:            dir,
+				Nodes:               addrs,
+			})
 			if err != nil {
 				fail(err)
 				return
@@ -110,12 +112,12 @@ func TestClusterCrashRestartRecovery(t *testing.T) {
 			defer bc.Close()
 			for f, data := range content[s] {
 				path := fmt.Sprintf("/stream%d/file%d", s, f)
-				if err := bc.BackupFile(path, bytes.NewReader(data)); err != nil {
+				if err := bc.Backup(context.Background(), path, bytes.NewReader(data)); err != nil {
 					fail(fmt.Errorf("backup %s: %w", path, err))
 					return
 				}
 			}
-			if err := bc.Flush(); err != nil {
+			if err := bc.Flush(context.Background()); err != nil {
 				fail(fmt.Errorf("flush stream %d: %w", s, err))
 			}
 		}(s)
@@ -142,7 +144,7 @@ func TestClusterCrashRestartRecovery(t *testing.T) {
 		t.Fatalf("recovered physical bytes = %d, want %d", gotPhysical, wantPhysical)
 	}
 
-	rc, err := NewBackupClient(BackupClientConfig{Name: "restorer"}, dir, addrsOf(servers))
+	rc, err := NewRemote(context.Background(), RemoteConfig{Name: "restorer", Director: dir, Nodes: addrsOf(servers)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestClusterCrashRestartRecovery(t *testing.T) {
 		for f, data := range content[s] {
 			path := fmt.Sprintf("/stream%d/file%d", s, f)
 			var out bytes.Buffer
-			if err := rc.Restore(path, &out); err != nil {
+			if err := rc.Restore(context.Background(), path, &out); err != nil {
 				t.Fatalf("restore %s after restart: %v", path, err)
 			}
 			if !bytes.Equal(out.Bytes(), data) {
@@ -249,26 +251,26 @@ func TestCompactionCrashFidelity(t *testing.T) {
 	// when the doomed originals go.
 	surviving["/keep/a-again"] = surviving["/keep/a"]
 
-	bc, err := NewBackupClient(BackupClientConfig{Name: "w", SuperChunkSize: 32 << 10}, dir, addrsOf(servers))
+	bc, err := NewRemote(context.Background(), RemoteConfig{Name: "w", SuperChunkSize: 32 << 10, Director: dir, Nodes: addrsOf(servers)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for path, data := range surviving {
-		if err := bc.BackupFile(path, bytes.NewReader(data)); err != nil {
+		if err := bc.Backup(context.Background(), path, bytes.NewReader(data)); err != nil {
 			t.Fatalf("backup %s: %v", path, err)
 		}
 	}
 	for path, data := range doomed {
-		if err := bc.BackupFile(path, bytes.NewReader(data)); err != nil {
+		if err := bc.Backup(context.Background(), path, bytes.NewReader(data)); err != nil {
 			t.Fatalf("backup %s: %v", path, err)
 		}
 	}
-	if err := bc.Flush(); err != nil {
+	if err := bc.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	usageFull := servers[0].StorageUsage() + servers[1].StorageUsage()
 	for path := range doomed {
-		if err := bc.DeleteBackup(path); err != nil {
+		if err := bc.Delete(context.Background(), path); err != nil {
 			t.Fatalf("delete %s: %v", path, err)
 		}
 	}
@@ -306,13 +308,13 @@ func TestCompactionCrashFidelity(t *testing.T) {
 		}
 		servers = start(true)
 
-		rc, err := NewBackupClient(BackupClientConfig{Name: "verify-" + string(stage)}, dir, addrsOf(servers))
+		rc, err := NewRemote(context.Background(), RemoteConfig{Name: "verify-" + string(stage), Director: dir, Nodes: addrsOf(servers)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for path, data := range surviving {
 			var out bytes.Buffer
-			if err := rc.Restore(path, &out); err != nil {
+			if err := rc.Restore(context.Background(), path, &out); err != nil {
 				t.Fatalf("crash at %s: restore %s: %v", stage, path, err)
 			}
 			if !bytes.Equal(out.Bytes(), data) {
@@ -322,7 +324,7 @@ func TestCompactionCrashFidelity(t *testing.T) {
 		// The deleted backups stay deleted.
 		for path := range doomed {
 			var out bytes.Buffer
-			if err := rc.Restore(path, &out); err == nil {
+			if err := rc.Restore(context.Background(), path, &out); err == nil {
 				t.Fatalf("crash at %s: deleted backup %s restored", stage, path)
 			}
 		}
@@ -344,13 +346,13 @@ func TestCompactionCrashFidelity(t *testing.T) {
 	if reclaimed := usageFull - usageAfter; reclaimed < doomedBytes {
 		t.Fatalf("reclaimed %d bytes after convergence, want >= %d (the deleted share)", reclaimed, doomedBytes)
 	}
-	rc, err := NewBackupClient(BackupClientConfig{Name: "final"}, dir, addrsOf(servers))
+	rc, err := NewRemote(context.Background(), RemoteConfig{Name: "final", Director: dir, Nodes: addrsOf(servers)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for path, data := range surviving {
 		var out bytes.Buffer
-		if err := rc.Restore(path, &out); err != nil || !bytes.Equal(out.Bytes(), data) {
+		if err := rc.Restore(context.Background(), path, &out); err != nil || !bytes.Equal(out.Bytes(), data) {
 			t.Fatalf("final: %s lost after converged compaction: %v", path, err)
 		}
 	}

@@ -2,6 +2,7 @@ package sigmadedupe
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -72,12 +73,14 @@ func TestConcurrentStreamsRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			bc, err := NewBackupClient(BackupClientConfig{
+			bc, err := NewRemote(context.Background(), RemoteConfig{
 				Name:                fmt.Sprintf("stream%d", s),
 				SuperChunkSize:      32 << 10,
 				Workers:             2,
 				InflightSuperChunks: 3,
-			}, dir, addrs)
+				Director:            dir,
+				Nodes:               addrs,
+			})
 			if err != nil {
 				fail(err)
 				return
@@ -85,17 +88,17 @@ func TestConcurrentStreamsRoundTrip(t *testing.T) {
 			defer bc.Close()
 			for f, data := range content[s] {
 				path := fmt.Sprintf("/stream%d/file%d", s, f)
-				if err := bc.BackupFile(path, bytes.NewReader(data)); err != nil {
+				if err := bc.Backup(context.Background(), path, bytes.NewReader(data)); err != nil {
 					fail(fmt.Errorf("backup %s: %w", path, err))
 					return
 				}
 			}
-			if err := bc.Flush(); err != nil {
+			if err := bc.Flush(context.Background()); err != nil {
 				fail(fmt.Errorf("flush stream %d: %w", s, err))
 				return
 			}
 			mu.Lock()
-			totalLogical += bc.LogicalBytes()
+			totalLogical += bc.BackupStats().LogicalBytes
 			mu.Unlock()
 		}(s)
 	}
@@ -106,7 +109,7 @@ func TestConcurrentStreamsRoundTrip(t *testing.T) {
 
 	// Every file restores byte-identically — through a fresh client, so
 	// the recipes alone must suffice.
-	rc, err := NewBackupClient(BackupClientConfig{Name: "restorer"}, dir, addrs)
+	rc, err := NewRemote(context.Background(), RemoteConfig{Name: "restorer", Director: dir, Nodes: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,7 @@ func TestConcurrentStreamsRoundTrip(t *testing.T) {
 		for f, data := range content[s] {
 			path := fmt.Sprintf("/stream%d/file%d", s, f)
 			var out bytes.Buffer
-			if err := rc.Restore(path, &out); err != nil {
+			if err := rc.Restore(context.Background(), path, &out); err != nil {
 				t.Fatalf("restore %s: %v", path, err)
 			}
 			if !bytes.Equal(out.Bytes(), data) {

@@ -5,18 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// bufPool recycles chunk payload buffers between the chunker (which
-// fills them) and apply (which runs after the super-chunk has left the
-// in-flight window and its payloads crossed the wire). With the pool in
-// place a backup's live chunk-buffer allocation is O(InflightSuperChunks)
-// regardless of stream length; the alloc/reuse counters are the
-// session's proof of that cliff (allocs plateau at roughly the window
-// size while reuses grow with the stream).
+// BufPool recycles chunk payload buffers between the chunker (which
+// fills them) and the point where a chunk's payload is dead: after its
+// super-chunk left the in-flight window and crossed the wire, or, on the
+// simulator's metadata-only path, right after it was fingerprinted.
+// With the pool in place a backup's live chunk-buffer allocation is
+// bounded by the window regardless of stream length; the alloc/reuse
+// counters are the session's proof of that cliff (allocs plateau at
+// roughly the window size while reuses grow with the stream).
 //
 // The free list is a mutex-guarded stack, not a sync.Pool: Put into a
 // sync.Pool boxes the slice header, costing one heap allocation per
 // released chunk — exactly the per-chunk churn the pool exists to kill.
-type bufPool struct {
+type BufPool struct {
 	mu      sync.Mutex
 	free    [][]byte
 	bufCap  int // capacity every pooled buffer is provisioned with
@@ -30,13 +31,15 @@ type bufPool struct {
 // from a draining burst and can go to the GC.
 const bufPoolRetain = 1024
 
-func newBufPool(bufCap int, disable bool) *bufPool {
-	return &bufPool{bufCap: bufCap, disable: disable}
+// NewBufPool returns a pool of buffers provisioned with bufCap bytes;
+// disable makes every Alloc a fresh heap allocation.
+func NewBufPool(bufCap int, disable bool) *BufPool {
+	return &BufPool{bufCap: bufCap, disable: disable}
 }
 
-// alloc implements chunker.Allocator: a slice of length n, drawn from
+// Alloc implements chunker.Allocator: a slice of length n, drawn from
 // the pool when possible.
-func (p *bufPool) alloc(n int) []byte {
+func (p *BufPool) Alloc(n int) []byte {
 	if !p.disable && n <= p.bufCap {
 		p.mu.Lock()
 		if last := len(p.free) - 1; last >= 0 {
@@ -56,9 +59,9 @@ func (p *bufPool) alloc(n int) []byte {
 	return make([]byte, n, p.bufCap)
 }
 
-// release returns a chunk buffer for reuse once nothing references it.
+// Release returns a chunk buffer for reuse once nothing references it.
 // Buffers that lost their provisioned capacity are dropped for the GC.
-func (p *bufPool) release(b []byte) {
+func (p *BufPool) Release(b []byte) {
 	if p.disable || cap(b) < p.bufCap {
 		return
 	}
@@ -68,3 +71,9 @@ func (p *bufPool) release(b []byte) {
 	}
 	p.mu.Unlock()
 }
+
+// Allocs returns how many buffers were newly allocated.
+func (p *BufPool) Allocs() int64 { return p.allocs.Load() }
+
+// Reuses returns how many buffers were served from the pool.
+func (p *BufPool) Reuses() int64 { return p.reuses.Load() }

@@ -38,7 +38,6 @@ import (
 	"sigmadedupe/internal/pipeline"
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/sderr"
-	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/tenant"
 )
 
@@ -159,23 +158,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// NodeAddr is one deduplication server of the client's epoch: its
-// stable cluster ID and dial address.
-type NodeAddr struct {
-	ID   int
-	Addr string
-}
-
-// DenseNodes maps a plain address list onto node IDs 0..n-1 — the
-// fixed-cluster shorthand for deployments that never change membership.
-func DenseNodes(addrs []string) []NodeAddr {
-	out := make([]NodeAddr, len(addrs))
-	for i, a := range addrs {
-		out[i] = NodeAddr{ID: i, Addr: a}
-	}
-	return out
-}
-
 // Stats summarizes a backup session from the client's perspective.
 type Stats struct {
 	LogicalBytes     int64 // bytes presented for backup
@@ -233,8 +215,8 @@ type Client struct {
 	// conns holds one connection per node of the client's pinned epoch,
 	// ordered like members.Nodes; byID resolves a node's stable cluster
 	// ID (the value recipes carry) to its connection.
-	conns   []*rpc.Client
-	byID    map[int]*rpc.Client
+	conns   []NodeConn
+	byID    map[int]NodeConn
 	members core.Membership
 	dir     director.Metadata
 	session uint64
@@ -267,7 +249,7 @@ type Client struct {
 
 	// bufs recycles chunk payload buffers from apply back to the
 	// chunker, keeping live allocation bounded by the window.
-	bufs *bufPool
+	bufs *BufPool
 
 	// wrotePaths tracks recipes finalized this session and not yet
 	// replicated — the work list of the Flush-time replication pass
@@ -303,40 +285,33 @@ type routeResult struct {
 	err    error
 }
 
-// New connects to the given deduplication servers and opens a backup
-// session with the director (in-process or remote). The node set — IDs
-// and addresses — is the membership epoch the client pins for its whole
-// life. ctx bounds the dials.
-func New(ctx context.Context, cfg Config, dir director.Metadata, nodes []NodeAddr) (*Client, error) {
+// New opens a backup session with the director (in-process or remote)
+// over one connection per node, keyed by stable node ID. The node set is
+// the membership epoch the client pins for its whole life; the client
+// owns the connections and closes them on Close (and on a failed New).
+func New(ctx context.Context, cfg Config, dir director.Metadata, nodes map[int]NodeConn) (*Client, error) {
 	cfg = cfg.withDefaults()
 	if len(nodes) == 0 {
-		return nil, fmt.Errorf("client: need at least one node address")
+		return nil, fmt.Errorf("client: need at least one node connection")
 	}
-	ids := make([]int, len(nodes))
-	byID := make(map[int]*rpc.Client, len(nodes))
-	conns := make([]*rpc.Client, len(nodes))
-	for i, nd := range nodes {
-		c, err := rpc.DialContext(ctx, nd.Addr)
-		if err != nil {
-			for _, prev := range conns[:i] {
-				if prev != nil {
-					prev.Close()
-				}
-			}
-			return nil, fmt.Errorf("client: node %d: %w", nd.ID, err)
-		}
-		conns[i] = c
-		ids[i] = nd.ID
-		byID[nd.ID] = c
+	ids := make([]int, 0, len(nodes))
+	for id := range nodes {
+		ids = append(ids, id)
 	}
-	part, err := core.NewPartitioner(cfg.SuperChunkSize, cfg.Algorithm, true)
-	if err != nil {
-		return nil, err
+	sort.Ints(ids)
+	conns := make([]NodeConn, len(ids))
+	for i, id := range ids {
+		conns[i] = nodes[id]
 	}
 	closeAll := func() {
 		for _, conn := range conns {
 			conn.Close()
 		}
+	}
+	part, err := core.NewPartitioner(cfg.SuperChunkSize, cfg.Algorithm, true)
+	if err != nil {
+		closeAll()
+		return nil, err
 	}
 	// Session admission: the director's hard quota check runs here, and
 	// the tenant's domain and headroom come back for the client's salt
@@ -366,13 +341,13 @@ func New(ctx context.Context, cfg Config, dir director.Metadata, nodes []NodeAdd
 	c := &Client{
 		cfg:     cfg,
 		conns:   conns,
-		byID:    byID,
+		byID:    nodes,
 		members: core.NewMembership(cfg.Epoch, ids),
 		dir:     dir,
 		session: session,
 		part:    part,
 		routes:  pipeline.NewWindow(cfg.InflightSuperChunks),
-		bufs: newBufPool(chunker.MaxChunkSize(cfg.ChunkMethod, cfg.ChunkSize),
+		bufs: NewBufPool(chunker.MaxChunkSize(cfg.ChunkMethod, cfg.ChunkSize),
 			cfg.DisableChunkPool),
 		wrotePaths: make(map[string]struct{}),
 		headroom:   headroom,
@@ -397,11 +372,21 @@ func (c *Client) saltFP(fp fingerprint.Fingerprint) fingerprint.Fingerprint {
 	return fp
 }
 
+// Fingerprint hashes one chunk payload the way this session's recipes
+// name it: the configured algorithm, salted for an isolated tenant.
+func (c *Client) Fingerprint(data []byte) fingerprint.Fingerprint {
+	return c.saltFP(c.cfg.Algorithm.Sum(data))
+}
+
+// Headroom returns the logical bytes the session's tenant could still
+// add at admission time (-1 = unlimited) — the soft quota bound.
+func (c *Client) Headroom() int64 { return c.headroom }
+
 // key composes the tenant-scoped recipe key of a backup name.
 func (c *Client) key(path string) string { return tenant.Key(c.cfg.Tenant, path) }
 
 // connByID resolves a node's stable cluster ID to its connection.
-func (c *Client) connByID(id int) (*rpc.Client, error) {
+func (c *Client) connByID(id int) (NodeConn, error) {
 	conn := c.byID[id]
 	if conn == nil {
 		return nil, fmt.Errorf("client: node %d is not in this session's epoch %d", id, c.members.Epoch)
@@ -453,7 +438,7 @@ func (c *Client) BackupFile(ctx context.Context, path string, r io.Reader) error
 		return &sderr.BackupError{Name: path, Stage: "chunk", Err: err}
 	}
 	ck, err := chunker.New(c.cfg.ChunkMethod, r, c.cfg.ChunkSize,
-		chunker.WithAllocator(c.bufs.alloc))
+		chunker.WithAllocator(c.bufs.Alloc))
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
@@ -486,7 +471,7 @@ func (c *Client) BackupFile(ctx context.Context, path string, r io.Reader) error
 		return nil
 	}
 	fpRef := func(ch chunker.Chunk) core.ChunkRef {
-		return core.ChunkRef{FP: c.saltFP(c.cfg.Algorithm.Sum(ch.Data)), Size: ch.Len(), Data: ch.Data}
+		return core.ChunkRef{FP: c.Fingerprint(ch.Data), Size: ch.Len(), Data: ch.Data}
 	}
 
 	// A fully serial configuration (1 worker, 1 in-flight super-chunk)
@@ -646,8 +631,71 @@ func (c *Client) applyCompleted(max int) error {
 
 // Flush routes the final partial super-chunk, drains in-flight
 // transfers, completes recipes, seals remote containers and ends the
-// session.
+// session. A failed Flush withdraws the recipes it left without a live
+// copy of some chunk (see withdrawLost).
 func (c *Client) Flush(ctx context.Context) error {
+	err := c.flush(ctx)
+	if err != nil {
+		c.withdrawLost(ctx)
+	}
+	return err
+}
+
+// Abandon ends a session without a Flush — its pinned epoch lost a node
+// to a crash, so a flush cannot succeed — withdrawing the recipes left
+// without a live copy of some chunk, then closing the connections (best
+// effort: a dead peer's connection may fail to close cleanly).
+func (c *Client) Abandon(ctx context.Context) {
+	c.withdrawLost(ctx)
+	c.Close()
+}
+
+// withdrawLost removes from the catalog every recipe this session wrote
+// and has not yet replicated that holds a chunk with no live copy: the
+// chunk's node left the director's membership (a crash) before the
+// Flush-time pass gave it a second copy. Such a backup can neither
+// restore nor be repaired. Its references on the surviving nodes are
+// released, best effort — Repair reconciles whatever remains. Every
+// other recipe stays, and Repair re-replicates it. Single-copy
+// deployments (Replicas < 2) keep every recipe.
+func (c *Client) withdrawLost(ctx context.Context) {
+	if c.cfg.Replicas < 2 || len(c.wrotePaths) == 0 {
+		return
+	}
+	cm, ok := c.dir.(director.ClusterMeta)
+	if !ok {
+		return
+	}
+	ctx = context.WithoutCancel(ctx)
+	info, err := cm.Members(ctx)
+	if err != nil {
+		return
+	}
+	live := core.NewMembership(info.Epoch, info.IDs())
+	for key := range c.wrotePaths {
+		r, err := c.dir.GetRecipe(ctx, key)
+		if err != nil || r.Session != c.session || !lostCopy(r.Chunks, live) {
+			continue
+		}
+		if r, err = c.dir.DeleteRecipe(ctx, key); err == nil {
+			_ = c.ReleaseRefs(ctx, key, r.Chunks)
+		}
+		delete(c.wrotePaths, key)
+	}
+}
+
+// lostCopy reports whether some chunk of a recipe has no copy on a live
+// member.
+func lostCopy(entries []director.ChunkEntry, live core.Membership) bool {
+	for _, e := range entries {
+		if !live.Contains(int(e.Node)) && (e.Replica < 0 || !live.Contains(int(e.Replica))) {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *Client) flush(ctx context.Context) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -756,8 +804,8 @@ func (c *Client) Stats() Stats {
 	st.FailoverReads = c.failoverReads.Load()
 	// The pool counts the ingest side; restore's contributions accumulate
 	// directly in c.stats, so the two simply add.
-	st.ChunkBufAllocs += c.bufs.allocs.Load()
-	st.ChunkBufReuses += c.bufs.reuses.Load()
+	st.ChunkBufAllocs += c.bufs.Allocs()
+	st.ChunkBufReuses += c.bufs.Reuses()
 	return st
 }
 
@@ -888,7 +936,7 @@ func (c *Client) apply(res routeResult) error {
 		for i := range res.sc.Chunks {
 			if d := res.sc.Chunks[i].Data; d != nil {
 				res.sc.Chunks[i].Data = nil
-				c.bufs.release(d)
+				c.bufs.Release(d)
 			}
 		}
 	}
@@ -932,33 +980,13 @@ func (c *Client) nextPending() *pendingFile {
 }
 
 // finalizeRecipes registers recipes for files whose chunks are all
-// routed. A new recipe supersedes any previous backup of the same path:
-// after the new recipe is committed, the superseded recipe's chunk
-// references are released on the nodes — it can no longer be restored
-// (the director keeps only the latest recipe per path), so keeping its
-// references would leak every superseded generation's unique chunks
-// forever. Ordering is leak-safe: put-new first, decref-old second, so a
-// failure in between strands references but never frees a chunk the new
-// recipe needs (the new backup's stores took their own references).
+// routed (commitRecipe).
 func (c *Client) finalizeRecipes(ctx context.Context) error {
 	remaining := c.pending[:0]
 	for _, pf := range c.pending {
 		if pf.done && len(pf.entries) == pf.want {
-			prev, prevErr := c.dir.GetRecipe(ctx, pf.path)
-			if prevErr != nil && !errors.Is(prevErr, director.ErrNoRecipe) {
-				// A transport failure is not "no previous recipe": silently
-				// skipping the supersede decref would leak the old
-				// generation's references forever.
-				return &sderr.BackupError{Name: pf.path, Stage: "finalize", Err: prevErr}
-			}
-			if err := c.dir.PutRecipe(ctx, c.session, pf.path, pf.entries); err != nil {
-				return &sderr.BackupError{Name: pf.path, Stage: "finalize", Err: err}
-			}
-			c.wrotePaths[pf.path] = struct{}{}
-			if prevErr == nil {
-				if err := c.decRefRecipe(ctx, pf.path, prev.Chunks); err != nil {
-					return err
-				}
+			if _, err := c.commitRecipe(ctx, pf.path, pf.entries); err != nil {
+				return err
 			}
 			continue
 		}
@@ -966,6 +994,44 @@ func (c *Client) finalizeRecipes(ctx context.Context) error {
 	}
 	c.pending = remaining
 	return nil
+}
+
+// CommitRecipe registers the recipe of one backup whose chunks were
+// placed outside this client's ingest pipeline (the simulator's routing
+// stream), under the same supersede rules as BackupFile's recipes; the
+// next Flush replicates it. committed reports whether the recipe took
+// the name, also when a later step failed; when it did not, the
+// entries' references are still the caller's to release. It does not
+// touch the sticky backup error.
+func (c *Client) CommitRecipe(ctx context.Context, name string, entries []director.ChunkEntry) (committed bool, err error) {
+	return c.commitRecipe(ctx, c.key(name), entries)
+}
+
+// commitRecipe registers one finished backup's recipe under key. A new
+// recipe supersedes any previous backup of the same key: after the new
+// recipe is committed, the superseded recipe's chunk references are
+// released on the nodes — it can no longer be restored (the director
+// keeps only the latest recipe per key), so keeping its references would
+// leak every superseded generation's unique chunks forever. Ordering is
+// leak-safe: put-new first, decref-old second, so a failure in between
+// strands references but never frees a chunk the new recipe needs (the
+// new backup's stores took their own references).
+func (c *Client) commitRecipe(ctx context.Context, key string, entries []director.ChunkEntry) (bool, error) {
+	prev, prevErr := c.dir.GetRecipe(ctx, key)
+	if prevErr != nil && !errors.Is(prevErr, director.ErrNoRecipe) {
+		// A transport failure is not "no previous recipe": silently
+		// skipping the supersede decref would leak the old generation's
+		// references forever.
+		return false, &sderr.BackupError{Name: key, Stage: "finalize", Err: prevErr}
+	}
+	if err := c.dir.PutRecipe(ctx, c.session, key, entries); err != nil {
+		return false, &sderr.BackupError{Name: key, Stage: "finalize", Err: err}
+	}
+	c.wrotePaths[key] = struct{}{}
+	if prevErr == nil {
+		return true, c.ReleaseRefs(ctx, key, prev.Chunks)
+	}
+	return true, nil
 }
 
 // DeleteBackup deletes one backed-up file end to end: the recipe is
@@ -990,16 +1056,16 @@ func (c *Client) DeleteBackup(ctx context.Context, path string) error {
 	if err != nil {
 		return fmt.Errorf("client: delete %s: %w", path, err)
 	}
-	return c.decRefRecipe(ctx, path, recipe.Chunks)
+	return c.ReleaseRefs(ctx, path, recipe.Chunks)
 }
 
-// decRefRecipe releases one recipe's chunk references — primary and
+// ReleaseRefs releases one recipe's chunk references — primary and
 // replica attributions alike — on the owning nodes, one batch per node,
 // counts grouped per fingerprint. On an R=2 deployment a node missing
 // from the session's epoch is skipped rather than failed: a crashed
 // node took its references with it, and making its absence fatal would
 // make every delete impossible after a kill.
-func (c *Client) decRefRecipe(ctx context.Context, path string, entries []director.ChunkEntry) error {
+func (c *Client) ReleaseRefs(ctx context.Context, path string, entries []director.ChunkEntry) error {
 	byNode := make(map[int32][]fingerprint.Fingerprint)
 	for _, e := range entries {
 		byNode[e.Node] = append(byNode[e.Node], e.FP)
@@ -1007,80 +1073,25 @@ func (c *Client) decRefRecipe(ctx context.Context, path string, entries []direct
 			byNode[e.Replica] = append(byNode[e.Replica], e.FP)
 		}
 	}
+	// Every reachable node is released even when another fails, so one
+	// dead node strands only its own references; the first failure is
+	// returned.
+	var first error
 	for nd, fps := range byNode {
 		conn, err := c.connByID(int(nd))
 		if err != nil {
-			if c.cfg.Replicas >= 2 {
-				continue
+			if c.cfg.Replicas < 2 && first == nil {
+				first = fmt.Errorf("client: delete %s: %w", path, err)
 			}
-			return fmt.Errorf("client: delete %s: %w", path, err)
+			continue
 		}
 		order, ns := core.AggregateRefs(fps)
-		if err := conn.DecRef(ctx, order, ns); err != nil {
-			return fmt.Errorf("client: delete %s: decref node %d: %w", path, nd, err)
+		if err := conn.DecRef(ctx, order, ns); err != nil && first == nil {
+			first = fmt.Errorf("client: delete %s: decref node %d: %w", path, nd, err)
 		}
 	}
-	return nil
+	return first
 }
-
-// Compact asks every node to run one compaction scan (≤0 threshold
-// selects each node's configured live-ratio floor) and returns the
-// summed results. A canceled ctx stops between nodes and aborts the
-// in-flight node's scan between containers.
-func (c *Client) Compact(ctx context.Context, threshold float64) (store.CompactResult, error) {
-	var total store.CompactResult
-	for i, conn := range c.conns {
-		res, err := conn.Compact(ctx, threshold)
-		if err != nil {
-			return total, fmt.Errorf("client: compact node %d: %w", i, err)
-		}
-		total.Scanned += res.Scanned
-		total.Rewritten += res.Rewritten
-		total.Retired += res.Retired
-		total.CopiedBytes += res.CopiedBytes
-		total.ReclaimedBytes += res.ReclaimedBytes
-		total.SkippedNoPayload += res.SkippedNoPayload
-	}
-	return total, nil
-}
-
-// GCStats sums the deletion/compaction counters of every node.
-func (c *Client) GCStats(ctx context.Context) (store.GCStats, error) {
-	var total store.GCStats
-	for i, conn := range c.conns {
-		gc, _, err := conn.GCStats(ctx)
-		if err != nil {
-			return total, fmt.Errorf("client: gc stats node %d: %w", i, err)
-		}
-		total.StoredBytes += gc.StoredBytes
-		total.DeadBytes += gc.DeadBytes
-		total.LiveBytes += gc.LiveBytes
-		total.Containers += gc.Containers
-		total.RetiredContainers += gc.RetiredContainers
-		total.ReclaimedBytes += gc.ReclaimedBytes
-		total.CopiedBytes += gc.CopiedBytes
-		total.CompactRuns += gc.CompactRuns
-		total.CompactErrors += gc.CompactErrors
-		if gc.LastCompactErr != "" {
-			total.LastCompactErr = fmt.Sprintf("node %d: %s", i, gc.LastCompactErr)
-		}
-	}
-	return total, nil
-}
-
-// NodeUsage fetches one node's logical/physical byte counters and
-// storage usage over the wire (observability for backends aggregating
-// cluster-wide stats).
-func (c *Client) NodeUsage(ctx context.Context, i int) (logical, physical, usage int64, err error) {
-	st, usage, err := c.conns[i].Stats(ctx)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("client: stats node %d: %w", i, err)
-	}
-	return st.LogicalBytes, st.PhysicalBytes, usage, nil
-}
-
-// Nodes returns the number of node connections.
-func (c *Client) Nodes() int { return len(c.conns) }
 
 // restoreWorkers sizes the restore prefetch pool. A defaulted pool is
 // widened to keep every node connection busy even when the CPU count is
@@ -1220,7 +1231,7 @@ type windowResult struct {
 // window failed over to the entries' replica owners.
 func (c *Client) fetchWindow(ctx context.Context, path string, win restoreWindow) (windowResult, error) {
 	type nodeReq struct {
-		conn *rpc.Client
+		conn NodeConn
 		fps  []fingerprint.Fingerprint
 		idx  map[fingerprint.Fingerprint]int
 	}

@@ -44,7 +44,7 @@ func randBytes(seed int64, n int) []byte {
 func TestBackupAndRestoreSingleNode(t *testing.T) {
 	addrs := startCluster(t, 1)
 	dir := director.New()
-	c, err := New(context.Background(), Config{Name: "t"}, dir, DenseNodes(addrs))
+	c, err := New(context.Background(), Config{Name: "t"}, dir, dialNodes(t, addrs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSourceDedupSavesBandwidth(t *testing.T) {
 	dir := director.New()
 	// Small super-chunks so the first generation is fully stored before
 	// the second generation's batched queries run.
-	c, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 32 << 10}, dir, DenseNodes(addrs))
+	c, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 32 << 10}, dir, dialNodes(t, addrs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSourceDedupSavesBandwidth(t *testing.T) {
 func TestMultiFileMultiNodeRoundTrip(t *testing.T) {
 	addrs := startCluster(t, 4)
 	dir := director.New()
-	c, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 64 << 10}, dir, DenseNodes(addrs))
+	c, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 64 << 10}, dir, dialNodes(t, addrs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMultiFileMultiNodeRoundTrip(t *testing.T) {
 func TestRecipesRecordRouting(t *testing.T) {
 	addrs := startCluster(t, 3)
 	dir := director.New()
-	c, _ := New(context.Background(), Config{Name: "t", SuperChunkSize: 16 << 10}, dir, DenseNodes(addrs))
+	c, _ := New(context.Background(), Config{Name: "t", SuperChunkSize: 16 << 10}, dir, dialNodes(t, addrs))
 	defer c.Close()
 	content := randBytes(3, 100<<10)
 	if err := c.BackupFile(context.Background(), "/f", bytes.NewReader(content)); err != nil {
@@ -171,7 +171,7 @@ func TestRecipesRecordRouting(t *testing.T) {
 func TestBackupEmptyFile(t *testing.T) {
 	addrs := startCluster(t, 1)
 	dir := director.New()
-	c, _ := New(context.Background(), Config{Name: "t"}, dir, DenseNodes(addrs))
+	c, _ := New(context.Background(), Config{Name: "t"}, dir, dialNodes(t, addrs))
 	defer c.Close()
 	if err := c.BackupFile(context.Background(), "/empty", bytes.NewReader(nil)); err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestSessionFailsStickyAfterError(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := director.New()
-	c, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 16 << 10}, dir, DenseNodes([]string{srv.Addr()}))
+	c, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 16 << 10}, dir, dialNodes(t, []string{srv.Addr()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestPipelineSurfacesSeverPromptly(t *testing.T) {
 	dir := director.New()
 	// Small super-chunks and a wide window: many RPCs in flight when the
 	// connection dies.
-	c, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 8 << 10, InflightSuperChunks: 8}, dir, DenseNodes([]string{srv.Addr()}))
+	c, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 8 << 10, InflightSuperChunks: 8}, dir, dialNodes(t, []string{srv.Addr()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(context.Background(), Config{}, director.New(), nil); err == nil {
 		t.Fatal("no node addresses should error")
 	}
-	if _, err := New(context.Background(), Config{}, director.New(), DenseNodes([]string{"127.0.0.1:1"})); err == nil {
+	if _, err := DialAll(context.Background(), []string{"127.0.0.1:1"}); err == nil {
 		t.Fatal("unreachable node should error")
 	}
 }
@@ -311,7 +311,7 @@ func TestRebackupSupersedesAndReleasesOldReferences(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	dir := director.New()
-	c, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 32 << 10}, dir, DenseNodes([]string{srv.Addr()}))
+	c, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 32 << 10}, dir, dialNodes(t, []string{srv.Addr()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,4 +353,14 @@ func TestRebackupSupersedesAndReleasesOldReferences(t *testing.T) {
 	if usage := nd.StorageUsage(); usage != 0 {
 		t.Fatalf("storage after deleting every generation = %d, want 0", usage)
 	}
+}
+
+// dialNodes connects to every address, node IDs 0..n-1 in order.
+func dialNodes(tb testing.TB, addrs []string) map[int]NodeConn {
+	tb.Helper()
+	conns, err := DialAll(context.Background(), addrs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return conns
 }

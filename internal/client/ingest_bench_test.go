@@ -56,7 +56,7 @@ func benchIngest(b *testing.B, addrs []string, workers, inflight int, size int) 
 		b.StopTimer()
 		content := randBytes(int64(1000+i), size)
 		dir := director.New()
-		c, err := New(context.Background(), cfg, dir, DenseNodes(addrs))
+		c, err := New(context.Background(), cfg, dir, dialNodes(b, addrs))
 		if err != nil {
 			b.Fatal(err)
 		}

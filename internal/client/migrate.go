@@ -1,6 +1,6 @@
-// Migrator: the prototype's recipe-driven super-chunk migration engine
-// behind online membership changes. It streams container contents node
-// to node over the migration RPC verbs (OpMigrateRead / OpMigrateWrite
+// Migrator: the recipe-driven super-chunk migration engine behind online
+// membership changes, on both deployments. It streams container
+// contents node to node over the migration verbs (OpMigrateRead / OpMigrateWrite
 // / OpMigrateCommit), re-registers references and similarity-index
 // entries on the target, and releases the source's references only
 // after the director's fsynced commit record — the recipe rewrite —
@@ -21,7 +21,6 @@ import (
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/migrate"
-	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/sderr"
 )
 
@@ -37,7 +36,7 @@ type Migrator struct {
 	// Conns resolves a node's stable cluster ID to a connection. It must
 	// cover every node a migration touches — including a node being
 	// drained, which has already left the membership epoch.
-	Conns map[int]*rpc.Client
+	Conns map[int]NodeConn
 	// HandprintK sizes segment handprints for target selection (default
 	// core.DefaultHandprintSize).
 	HandprintK int
@@ -59,7 +58,7 @@ func (m *Migrator) faultAt(stage migrate.Stage, path string) error {
 	return nil
 }
 
-func (m *Migrator) conn(id int) (*rpc.Client, error) {
+func (m *Migrator) conn(id int) (NodeConn, error) {
 	c := m.Conns[id]
 	if c == nil {
 		return nil, fmt.Errorf("client: migrator has no connection to node %d", id)
@@ -145,7 +144,11 @@ func (m *Migrator) drainRecipe(ctx context.Context, r director.Recipe, from int,
 
 // Rebalance migrates segments from members above the cluster's mean
 // usage onto underloaded rendezvous owners (typically a freshly added
-// node). One pass; see the simulator mirror for the policy rationale.
+// node). One pass. A segment moves to the rendezvous owner of its
+// representative fingerprint when that owner sits below the mean and
+// the segment's home above it: the owner is by construction one of the
+// segment's routing candidates, and the migrated similarity-index
+// entries make it win their bids, so placement stays discoverable.
 func (m *Migrator) Rebalance(ctx context.Context, members core.Membership) (migrate.Result, error) {
 	var res migrate.Result
 	if members.Len() < 2 {

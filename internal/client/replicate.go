@@ -1,5 +1,5 @@
-// R=2 replication and anti-entropy repair over the wire — the prototype
-// counterpart of the simulator's internal/cluster/replication.go.
+// R=2 replication and anti-entropy repair, shared by both deployments
+// (node connections over the wire or in process).
 //
 // Replication is migration that doesn't decref the source. A recipe run
 // replicates by streaming its payloads off the primary (OpMigrateRead),
@@ -227,10 +227,10 @@ func (m *Migrator) stripReplicas(ctx context.Context, id int) error {
 	return nil
 }
 
-// Repair is the prototype's anti-entropy pass, mirroring the
-// simulator's: settle crash-leftover transactions, promote replicas of
-// dead primaries, re-replicate under-replicated runs, and release every
-// reference the recipe catalog does not account for. members is the
+// Repair is the anti-entropy pass: settle crash-leftover transactions,
+// promote replicas of dead primaries, re-replicate under-replicated
+// runs, and release every reference the recipe catalog does not account
+// for. members is the
 // post-crash epoch (the dead node already removed). Idempotent; callers
 // must quiesce backups, deletes and membership changes first. Fails if
 // any chunk lost both of its copies.

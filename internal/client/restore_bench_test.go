@@ -22,7 +22,7 @@ func benchRestore(b *testing.B, addrs []string, perChunk bool, delay time.Durati
 		Name:            "bench",
 		SuperChunkSize:  128 << 10,
 		PerChunkRestore: perChunk,
-	}, dir, DenseNodes(addrs))
+	}, dir, dialNodes(b, addrs))
 	if err != nil {
 		b.Fatal(err)
 	}

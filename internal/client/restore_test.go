@@ -50,7 +50,7 @@ func TestRestoreCancellationUnwinds(t *testing.T) {
 		SuperChunkSize:      8 << 10,
 		InflightSuperChunks: 8,
 		RestoreWindowBytes:  16 << 10,
-	}, dir, DenseNodes([]string{srv.Addr()}))
+	}, dir, dialNodes(t, []string{srv.Addr()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestRestorePerChunkMatchesBatched(t *testing.T) {
 	dir := director.New()
 	content := randBytes(91, 1<<20)
 
-	batched, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 64 << 10}, dir, DenseNodes(addrs))
+	batched, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 64 << 10}, dir, dialNodes(t, addrs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRestorePerChunkMatchesBatched(t *testing.T) {
 	if err := batched.Restore(context.Background(), "/img", &a); err != nil {
 		t.Fatal(err)
 	}
-	perChunk, err := New(context.Background(), Config{Name: "t2", SuperChunkSize: 64 << 10, PerChunkRestore: true}, dir, DenseNodes(addrs))
+	perChunk, err := New(context.Background(), Config{Name: "t2", SuperChunkSize: 64 << 10, PerChunkRestore: true}, dir, dialNodes(t, addrs))
 	if err != nil {
 		t.Fatal(err)
 	}

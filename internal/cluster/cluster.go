@@ -22,17 +22,15 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
 	"sigmadedupe/internal/core"
+	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/metrics"
-	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/pipeline"
 	"sigmadedupe/internal/router"
@@ -59,11 +57,6 @@ type Config struct {
 	FixedBoundaries bool
 	// IgnoreUsage disables Sigma routing's load discount (ablation).
 	IgnoreUsage bool
-	// ParallelBids fans each routing decision's per-candidate bids out to
-	// goroutines (Sigma and Stateful schemes). Off by default: in-process
-	// bids are memory lookups, so the fan-out only pays off when many
-	// streams contend for cores or bids become genuinely remote.
-	ParallelBids bool
 	// BidSummaries routes bids through each node's compact Bloom summary
 	// of its similarity index (Sigma and Stateful schemes). Summaries
 	// are cheap enough to probe for every live node, so Sigma upgrades
@@ -77,19 +70,13 @@ type Config struct {
 	// gains the summary counters.
 	BidSummaries bool
 	// TrackRecipes records, for every backup item with a non-zero fileID,
-	// which chunk fingerprints it routed to which node, enabling
-	// DeleteBackup. Tracking cuts super-chunks at item boundaries so the
+	// which chunk fingerprints it routed to which node (see
+	// Stream.ItemPlacements), so the caller can commit the item as a
+	// recipe. Tracking cuts super-chunks at item boundaries so the
 	// attribution is exact (a small routing-granularity cost, the price of
 	// retention). Incompatible with the Extreme Binning scheme, whose
 	// bin-scoped stores bypass the refcounted chunk index.
 	TrackRecipes bool
-	// Replicas >= 2 enables R=2 replica placement: every routed
-	// super-chunk is also stored on the rendezvous replica owner of its
-	// first fingerprint, restores fail over to the replica when the
-	// primary is gone, and Repair re-converges placement after a node
-	// crash. Requires TrackRecipes and payload-carrying nodes. The
-	// default (0) keeps the single-copy behavior.
-	Replicas int
 	// Node is the per-node configuration template; ID is overridden.
 	Node node.Config
 }
@@ -163,7 +150,7 @@ type Cluster struct {
 	// memberMu guards the canonical node registry and serializes
 	// membership mutations. The routing/stats hot paths do NOT take it:
 	// they read the current epochState snapshot through cur. Store-path
-	// node resolution (nodeByID) still reads the registry under the read
+	// node resolution (Node) still reads the registry under the read
 	// lock so a killed node fails loudly instead of accepting writes
 	// through a stale snapshot.
 	memberMu sync.RWMutex
@@ -179,13 +166,6 @@ type Cluster struct {
 	// items (guarded by memberMu; pruned by waitEpochQuiesce).
 	epochs []*epochState
 
-	// Pending super-chunk migrations (see membership.go): transactions
-	// opened but not yet closed, the crash-recovery work list. Guarded
-	// by recMu together with the recipes they reference.
-	pendingMigs  map[uint64]simMigration
-	nextMig      uint64
-	migrateFault migrate.Fault
-
 	shardMu sync.Mutex
 	shards  []*shard
 	// base accumulates the counters of retired streams, so a long-lived
@@ -193,29 +173,8 @@ type Cluster struct {
 	// bound.
 	base Stats
 
-	// recipes holds, per tracked backup item, the chunk references it
-	// took and where they were routed (Config.TrackRecipes).
-	recMu   sync.Mutex
-	recipes map[uint64][]RecipeEntry
-
-	// failoverReads counts restore reads served by a replica after the
-	// primary failed — the simulator mirror of client Stats.FailoverReads.
-	failoverReads atomic.Int64
-
 	// def is the default stream backing the single-stream BackupItem API.
 	def *Stream
-}
-
-// RecipeEntry is one tracked chunk reference of a backup item: the chunk
-// fingerprint, its size, the node it was routed to, and the replica node
-// holding its second copy (-1 when the entry has none — node 0 is a
-// valid replica site, so the zero value must never be used to mean
-// "no replica").
-type RecipeEntry struct {
-	FP      fingerprint.Fingerprint
-	Size    int
-	Node    int
-	Replica int
 }
 
 // epochState is one committed membership epoch: the member list plus an
@@ -246,8 +205,6 @@ func (c *Cluster) commitEpochLocked(m core.Membership) {
 	c.cur.Store(st)
 }
 
-var _ router.View = (*Cluster)(nil)
-
 // New builds a cluster of cfg.N nodes.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
@@ -261,10 +218,8 @@ func New(cfg Config) (*Cluster, error) {
 	switch r := rt.(type) {
 	case *router.SigmaRouter:
 		r.IgnoreUsage = cfg.IgnoreUsage
-		r.Parallel = cfg.ParallelBids
 		r.UseSummaries = cfg.BidSummaries
 	case *router.StatefulRouter:
-		r.Parallel = cfg.ParallelBids
 		r.UseSummaries = cfg.BidSummaries
 	}
 	nodes := make(map[int]*node.Node, cfg.N)
@@ -276,12 +231,10 @@ func New(cfg Config) (*Cluster, error) {
 		nodes[i] = n
 	}
 	c := &Cluster{
-		cfg:         cfg,
-		nodes:       nodes,
-		maxID:       cfg.N - 1,
-		rt:          rt,
-		recipes:     make(map[uint64][]RecipeEntry),
-		pendingMigs: make(map[uint64]simMigration),
+		cfg:   cfg,
+		nodes: nodes,
+		maxID: cfg.N - 1,
+		rt:    rt,
 	}
 	c.commitEpochLocked(core.DenseMembership(cfg.N))
 	// The default stream keeps the seed's container naming ("client0") so
@@ -329,8 +282,8 @@ func (c *Cluster) StreamSized(name string, superChunkSize int64) (*Stream, error
 // — and with it the candidate set — is the one the backup item started
 // on. All reads go through the epoch's immutable node snapshot, so a
 // routing decision takes no cluster-wide lock at all; only the store
-// path resolves nodes through the registry (nodeByID), where a killed
-// node must fail loudly.
+// path resolves nodes through the registry (Node), where a killed node
+// must fail loudly.
 type pinnedView struct {
 	st *epochState
 }
@@ -402,8 +355,10 @@ func newClusterNode(cfg Config, id int) (*node.Node, error) {
 	return n, nil
 }
 
-// nodeByID returns a live node by its cluster ID.
-func (c *Cluster) nodeByID(id int) (*node.Node, error) {
+// Node returns a registered node by its cluster ID: a member of the
+// current epoch, or a departed member not yet dropped. A killed node
+// fails with ErrNotFound.
+func (c *Cluster) Node(id int) (*node.Node, error) {
 	c.memberMu.RLock()
 	n := c.nodes[id]
 	c.memberMu.RUnlock()
@@ -413,61 +368,14 @@ func (c *Cluster) nodeByID(id int) (*node.Node, error) {
 	return n, nil
 }
 
-// N implements router.View: the live node count of the current epoch.
+// N returns the live node count of the current epoch.
 func (c *Cluster) N() int {
 	return c.cur.Load().members.Len()
 }
 
-// Membership implements router.View: the current epoch's live node set.
+// Membership returns the current epoch's live node set.
 func (c *Cluster) Membership() core.Membership {
 	return c.cur.Load().members
-}
-
-// BidHandprint implements router.View. A bid against a node that left
-// the epoch mid-decision scores zero rather than panicking: the epoch
-// the caller pinned decides placement, and a departed node simply loses.
-func (c *Cluster) BidHandprint(nodeID int, hp core.Handprint) int {
-	c.memberMu.RLock()
-	n := c.nodes[nodeID]
-	c.memberMu.RUnlock()
-	if n == nil {
-		return 0
-	}
-	return n.CountHandprintMatches(hp)
-}
-
-// BidChunks implements router.View.
-func (c *Cluster) BidChunks(nodeID int, fps []fingerprint.Fingerprint) int {
-	c.memberMu.RLock()
-	n := c.nodes[nodeID]
-	c.memberMu.RUnlock()
-	if n == nil {
-		return 0
-	}
-	return n.CountStoredChunks(fps)
-}
-
-// Usage implements router.View.
-func (c *Cluster) Usage(nodeID int) int64 {
-	c.memberMu.RLock()
-	n := c.nodes[nodeID]
-	c.memberMu.RUnlock()
-	if n == nil {
-		return 0
-	}
-	return n.StorageUsage()
-}
-
-// SummaryMayContain implements router.SummaryView over the live
-// registry (migration's pickTarget path; streams use their pinned view).
-func (c *Cluster) SummaryMayContain(nodeID int, hp core.Handprint) bool {
-	c.memberMu.RLock()
-	n := c.nodes[nodeID]
-	c.memberMu.RUnlock()
-	if n == nil {
-		return false
-	}
-	return n.SummaryMayContain(hp)
 }
 
 // Scheme returns the active routing scheme name.
@@ -572,6 +480,9 @@ type Stream struct {
 	// took the cluster-wide write lock per backup item, which at 64
 	// concurrent streams serialized the whole ingest.
 	st *epochState
+	// placed records where the current item's chunks were stored, in
+	// stream order (Config.TrackRecipes, non-zero fileID).
+	placed []director.ChunkEntry
 	// retired guards against double-folding; protected by c.shardMu.
 	retired bool
 }
@@ -623,6 +534,7 @@ func (s *Stream) Name() string { return s.name }
 // BackupItem feeds one backup item into this stream's pipeline.
 func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 	s.ctr.files.Add(1)
+	s.placed = s.placed[:0]
 	s.acquirePin()
 	defer s.releasePin()
 
@@ -682,6 +594,7 @@ func (s *Stream) Flush() error {
 // bounded by the pending super-chunk, never the item size.
 func (s *Stream) BeginItem(fileID uint64) {
 	s.ctr.files.Add(1)
+	s.placed = s.placed[:0]
 	s.acquirePin()
 	s.part.SetFileID(fileID)
 }
@@ -732,11 +645,18 @@ func (s *Stream) EndItem(ctx context.Context) (RouteOutcome, error) {
 
 // AbortItem discards the partial super-chunk of a failed item so its
 // chunks cannot leak into the next item's routing or attribution. The
-// stream stays usable.
+// stream stays usable; ItemPlacements still reports what the item
+// stored, so the caller can release it.
 func (s *Stream) AbortItem() {
 	_ = s.part.Flush()
 	s.releasePin()
 }
+
+// ItemPlacements returns where the current (or just ended) item's chunks
+// were stored, in stream order, with no replica (Config.TrackRecipes and
+// a non-zero fileID; otherwise empty). The slice is reused by the next
+// item.
+func (s *Stream) ItemPlacements() []director.ChunkEntry { return s.placed }
 
 // RouteOutcome reports what one chunk feed did: payload bytes routed
 // (non-zero when a super-chunk completed) and the unique payload bytes
@@ -775,7 +695,7 @@ func (s *Stream) routeAndStore(sc *core.SuperChunk) (int64, error) {
 		// node.Node); different nodes store in parallel, and routing bids
 		// read node state lock-free.
 		s.ctr.afterRoutingMsgs.Add(int64(nChunks))
-		nd, err := c.nodeByID(a.Node)
+		nd, err := c.Node(a.Node)
 		if err != nil {
 			return stored, err
 		}
@@ -791,21 +711,9 @@ func (s *Stream) routeAndStore(sc *core.SuperChunk) (int64, error) {
 		}
 		stored += res.UniqueBytes
 		if c.cfg.TrackRecipes && sc.FileID != 0 {
-			entries := make([]RecipeEntry, len(target.Chunks))
-			for i, ch := range target.Chunks {
-				entries[i] = RecipeEntry{FP: ch.FP, Size: ch.Size, Node: a.Node, Replica: -1}
-			}
-			c.recMu.Lock()
-			start := len(c.recipes[sc.FileID])
-			c.recipes[sc.FileID] = append(c.recipes[sc.FileID], entries...)
-			c.recMu.Unlock()
-			// R=2: mirror the super-chunk onto its rendezvous replica owner
-			// while the payloads are still in hand (replication is migration
-			// that doesn't decref the source; see replication.go).
-			if c.cfg.Replicas >= 2 && len(target.Chunks) > 0 && target.Chunks[0].Data != nil {
-				if err := s.replicate(sc.FileID, target, a.Node, start, len(entries)); err != nil {
-					return stored, err
-				}
+			for _, ch := range target.Chunks {
+				s.placed = append(s.placed, director.ChunkEntry{
+					FP: ch.FP, Size: int32(ch.Size), Node: int32(a.Node), Replica: -1})
 			}
 		}
 	}
@@ -900,194 +808,13 @@ func (c *Cluster) NormalizedDR(exactPhysical int64) float64 {
 	return metrics.NormalizedDR(c.DedupRatio(), sdr)
 }
 
-// Recipe returns the tracked chunk references of a backup item
-// (Config.TrackRecipes), or false when the item is unknown.
-func (c *Cluster) Recipe(fileID uint64) ([]RecipeEntry, bool) {
-	c.recMu.Lock()
-	defer c.recMu.Unlock()
-	r, ok := c.recipes[fileID]
-	if !ok {
-		return nil, false
-	}
-	out := make([]RecipeEntry, len(r))
-	copy(out, r)
-	return out, true
-}
-
-// DeleteBackup deletes a tracked backup item: its recipe is dropped and
-// every node that holds its chunks releases the recipe's references on
-// them. Chunks whose last reference goes become dead space that Compact
-// reclaims. Requires Config.TrackRecipes and a non-zero fileID at backup
-// time.
-func (c *Cluster) DeleteBackup(fileID uint64) error {
-	if !c.cfg.TrackRecipes {
-		return fmt.Errorf("cluster: DeleteBackup requires Config.TrackRecipes")
-	}
-	c.recMu.Lock()
-	entries, ok := c.recipes[fileID]
-	if ok {
-		delete(c.recipes, fileID)
-	}
-	c.recMu.Unlock()
-	if !ok {
-		return fmt.Errorf("cluster: no tracked backup %d: %w", fileID, sderr.ErrNotFound)
-	}
-	byNode := make(map[int][]fingerprint.Fingerprint)
-	for _, e := range entries {
-		byNode[e.Node] = append(byNode[e.Node], e.FP)
-		if e.Replica >= 0 {
-			byNode[e.Replica] = append(byNode[e.Replica], e.FP)
-		}
-	}
-	for id, fps := range byNode {
-		nd, err := c.nodeByID(id)
-		if err != nil {
-			if errors.Is(err, sderr.ErrNotFound) {
-				// A crashed node took its references with it; nothing to
-				// release there.
-				continue
-			}
-			return fmt.Errorf("cluster: delete backup %d: %w", fileID, err)
-		}
-		order, ns := core.AggregateRefs(fps)
-		if err := nd.DecRef(order, ns); err != nil {
-			return fmt.Errorf("cluster: delete backup %d: %w", fileID, err)
-		}
-	}
-	return nil
-}
-
-// restoreWindowBytes is the payload budget of one simulator restore
-// window — the batch granularity of RestoreBackup's node reads.
-const restoreWindowBytes = 4 << 20
-
-// RestoreBackup streams a tracked backup item to w in stream order,
-// batching the recipe into byte-bounded windows and fetching each
-// window's chunks with one ReadChunkBatch per node — the node groups
-// them by container and reads each container once, sequentially.
-// Requires Config.TrackRecipes and nodes that retain payloads
-// (KeepPayloads or a durable Dir). A canceled ctx stops between windows.
-func (c *Cluster) RestoreBackup(ctx context.Context, fileID uint64, w io.Writer) error {
-	entries, ok := c.Recipe(fileID)
-	if !ok {
-		return fmt.Errorf("cluster: no tracked backup %d: %w", fileID, sderr.ErrNotFound)
-	}
-	for start := 0; start < len(entries); {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end, size := start, int64(0)
-		for end < len(entries) && (end == start || size+int64(entries[end].Size) <= restoreWindowBytes) {
-			size += int64(entries[end].Size)
-			end++
-		}
-		if err := c.restoreWindow(fileID, entries[start:end], start, w); err != nil {
-			return err
-		}
-		start = end
-	}
-	return nil
-}
-
-// restoreWindow fetches one window of recipe entries, one batched read
-// per node with repeated fingerprints deduplicated, and writes the
-// payloads in stream order.
-func (c *Cluster) restoreWindow(fileID uint64, entries []RecipeEntry, first int, w io.Writer) error {
-	reqs := make(map[int]*restoreReq)
-	for _, e := range entries {
-		nr := reqs[e.Node]
-		if nr == nil {
-			nr = &restoreReq{idx: make(map[fingerprint.Fingerprint]int)}
-			reqs[e.Node] = nr
-		}
-		if _, ok := nr.idx[e.FP]; !ok {
-			nr.idx[e.FP] = len(nr.fps)
-			nr.fps = append(nr.fps, e.FP)
-		}
-	}
-	for id, nr := range reqs {
-		var out [][]byte
-		var idx []int
-		nd, err := c.nodeByID(id)
-		if err == nil {
-			out, idx, err = nd.ReadChunkBatch(nr.fps)
-		}
-		if err != nil {
-			// Primary failed (crashed node, or its chunks are gone): fail
-			// the whole node group over to the entries' replica owners.
-			if ferr := c.failoverGroup(id, nr, entries); ferr != nil {
-				return fmt.Errorf("cluster: restore backup %d chunks %d..%d: node %d: %w (failover: %v)",
-					fileID, first, first+len(entries)-1, id, err, ferr)
-			}
-			continue
-		}
-		// Scatter the container-read-order results back to request order.
-		nr.data = make([][]byte, len(nr.fps))
-		for i, d := range out {
-			nr.data[idx[i]] = d
-		}
-	}
-	for _, e := range entries {
-		nr := reqs[e.Node]
-		if _, err := w.Write(nr.data[nr.idx[e.FP]]); err != nil {
-			return fmt.Errorf("cluster: restore backup %d: %w", fileID, err)
-		}
-	}
-	return nil
-}
-
-// Compact runs one compaction scan on every node (≤0 threshold selects
-// each node's configured live-ratio floor) and returns the summed
-// results. A canceled ctx stops between nodes and between containers.
-func (c *Cluster) Compact(ctx context.Context, threshold float64) (store.CompactResult, error) {
-	var total store.CompactResult
-	for _, n := range c.liveNodes() {
-		res, err := n.Compact(ctx, threshold)
-		if err != nil {
-			return total, fmt.Errorf("cluster: compact node %d: %w", n.ID(), err)
-		}
-		total.Scanned += res.Scanned
-		total.Rewritten += res.Rewritten
-		total.Retired += res.Retired
-		total.CopiedBytes += res.CopiedBytes
-		total.ReclaimedBytes += res.ReclaimedBytes
-		total.SkippedNoPayload += res.SkippedNoPayload
-	}
-	return total, nil
-}
-
-// GCStats sums the deletion/compaction counters of every node.
-func (c *Cluster) GCStats() store.GCStats {
-	var total store.GCStats
-	for _, n := range c.liveNodes() {
-		gc := n.GCStats()
-		total.StoredBytes += gc.StoredBytes
-		total.DeadBytes += gc.DeadBytes
-		total.LiveBytes += gc.LiveBytes
-		total.Containers += gc.Containers
-		total.RetiredContainers += gc.RetiredContainers
-		total.ReclaimedBytes += gc.ReclaimedBytes
-		total.CopiedBytes += gc.CopiedBytes
-		total.CompactRuns += gc.CompactRuns
-		total.CompactErrors += gc.CompactErrors
-		if gc.LastCompactErr != "" {
-			total.LastCompactErr = gc.LastCompactErr
-		}
-	}
-	return total
-}
-
-// FailoverReads reports how many restore reads were served by a replica
-// after their primary failed.
-func (c *Cluster) FailoverReads() int64 { return c.failoverReads.Load() }
-
 // RestartNode stops node i — sealing its open containers and closing its
 // manifest — and re-opens it from its durable directory, replaying the
 // manifest to restore the chunk index, similarity index and container
 // directory. The node must have been configured with a durable Dir. Not
 // safe to call while backups are in flight; quiesce streams first.
 func (c *Cluster) RestartNode(i int) error {
-	nd, err := c.nodeByID(i)
+	nd, err := c.Node(i)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sigmadedupe/internal/core"
+	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
@@ -329,12 +330,9 @@ func TestTrackedRecipesExactWithUntrackedItems(t *testing.T) {
 	if err := c.BackupItem(7, refsB); err != nil {
 		t.Fatal(err)
 	}
+	rec := append([]director.ChunkEntry(nil), c.Default().ItemPlacements()...)
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
-	}
-	rec, ok := c.Recipe(7)
-	if !ok {
-		t.Fatal("tracked item has no recipe")
 	}
 	want := make(map[string]bool, len(refsB))
 	for _, r := range refsB {
@@ -348,9 +346,16 @@ func TestTrackedRecipesExactWithUntrackedItems(t *testing.T) {
 			t.Fatalf("recipe 7 contains foreign chunk %s", e.FP.Short())
 		}
 	}
-	// Deleting item 7 must not touch the untracked item's chunks.
-	if err := c.DeleteBackup(7); err != nil {
-		t.Fatal(err)
+	// Releasing item 7's placements must not touch the untracked item's
+	// chunks.
+	for _, e := range rec {
+		nd, err := c.Node(int(e.Node))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nd.DecRef([]fingerprint.Fingerprint{e.FP}, []int64{1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, r := range refsA {
 		alive := false

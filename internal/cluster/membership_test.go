@@ -1,15 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"sigmadedupe/internal/core"
+	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
 )
@@ -27,6 +25,16 @@ func membershipItem(seed int64, chunks int) []core.ChunkRef {
 		refs[i] = core.ChunkRef{FP: fingerprint.Sum(data), Size: len(data), Data: data}
 	}
 	return refs
+}
+
+// backupTracked backs one item up on the default stream and returns
+// where its chunks were placed.
+func backupTracked(t *testing.T, c *Cluster, id uint64, refs []core.ChunkRef) []director.ChunkEntry {
+	t.Helper()
+	if err := c.BackupItem(id, refs); err != nil {
+		t.Fatal(err)
+	}
+	return append([]director.ChunkEntry(nil), c.Default().ItemPlacements()...)
 }
 
 func elasticCluster(t *testing.T, n int) *Cluster {
@@ -61,10 +69,9 @@ func TestRoutingStabilityOnGrowth(t *testing.T) {
 	for i := range contents {
 		contents[i] = membershipItem(int64(100+i), 24) // 96KB → ~3 super-chunks
 	}
+	before := make([][]director.ChunkEntry, items)
 	for i, refs := range contents {
-		if err := c.BackupItem(uint64(1+i), refs); err != nil {
-			t.Fatal(err)
-		}
+		before[i] = backupTracked(t, c, uint64(1+i), refs)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
@@ -80,10 +87,9 @@ func TestRoutingStabilityOnGrowth(t *testing.T) {
 	}
 
 	// Re-backup identical content under fresh item IDs.
+	after := make([][]director.ChunkEntry, items)
 	for i, refs := range contents {
-		if err := c.BackupItem(uint64(1000+i), refs); err != nil {
-			t.Fatal(err)
-		}
+		after[i] = backupTracked(t, c, uint64(1000+i), refs)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
@@ -93,14 +99,12 @@ func TestRoutingStabilityOnGrowth(t *testing.T) {
 	// generations.
 	var total, moved int
 	for i := range contents {
-		before, ok1 := c.Recipe(uint64(1 + i))
-		after, ok2 := c.Recipe(uint64(1000 + i))
-		if !ok1 || !ok2 || len(before) != len(after) {
-			t.Fatalf("item %d recipes missing or diverged (%v/%v)", i, ok1, ok2)
+		if len(before[i]) != len(contents[i]) || len(after[i]) != len(contents[i]) {
+			t.Fatalf("item %d placements missing or diverged (%d/%d)", i, len(before[i]), len(after[i]))
 		}
-		for j := range before {
+		for j := range before[i] {
 			total++
-			if before[j].Node != after[j].Node {
+			if before[i][j].Node != after[i][j].Node {
 				moved++
 			}
 		}
@@ -144,128 +148,17 @@ func TestAddNodeReceivesNewData(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if u := c.Usage(id); u == 0 {
+	nd, err := c.Node(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := nd.StorageUsage(); u == 0 {
 		t.Fatal("fresh node received no data from post-join backups")
 	}
 }
 
-// TestRemoveNodeMigratesAndRestores: RemoveNode drains every placement
-// off the node, all backups restore byte-identically, and deleting
-// everything afterwards leaves zero live bytes — no reference leaked by
-// the migration.
-func TestRemoveNodeMigratesAndRestores(t *testing.T) {
-	const items = 12
-	c := elasticCluster(t, 3)
-	defer c.Close()
-	contents := make([][]core.ChunkRef, items)
-	for i := range contents {
-		contents[i] = membershipItem(int64(9000+i), 24)
-		if err := c.BackupItem(uint64(1+i), contents[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := c.RemoveNode(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Membership(); got.Len() != 2 || got.Contains(1) {
-		t.Fatalf("membership after RemoveNode = %+v", got)
-	}
-	// Some data lived on node 1 (3 nodes, 12 items); it must have moved.
-	if res.Segments == 0 || res.Bytes == 0 {
-		t.Fatalf("RemoveNode moved nothing: %+v", res)
-	}
-	for i := range contents {
-		entries, ok := c.Recipe(uint64(1 + i))
-		if !ok {
-			t.Fatalf("item %d recipe lost", i)
-		}
-		for _, e := range entries {
-			if e.Node == 1 {
-				t.Fatalf("item %d still placed on removed node 1", i)
-			}
-		}
-		var out bytes.Buffer
-		if err := c.RestoreBackup(context.Background(), uint64(1+i), &out); err != nil {
-			t.Fatalf("restore item %d after RemoveNode: %v", i, err)
-		}
-		var want bytes.Buffer
-		for _, r := range contents[i] {
-			want.Write(r.Data)
-		}
-		if !bytes.Equal(out.Bytes(), want.Bytes()) {
-			t.Fatalf("item %d corrupted by migration", i)
-		}
-	}
-
-	// Zero leaked references: delete everything, compact, nothing live.
-	for i := 0; i < items; i++ {
-		if err := c.DeleteBackup(uint64(1 + i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.Compact(context.Background(), 0.999); err != nil {
-		t.Fatal(err)
-	}
-	if gc := c.GCStats(); gc.LiveBytes != 0 {
-		t.Fatalf("live bytes = %d after deleting every backup; migration leaked references", gc.LiveBytes)
-	}
-}
-
-// TestRebalanceFillsNewNode: after AddNode, Rebalance moves existing
-// segments onto the empty node and the data still restores.
-func TestRebalanceFillsNewNode(t *testing.T) {
-	const items = 24
-	c := elasticCluster(t, 3)
-	defer c.Close()
-	contents := make([][]core.ChunkRef, items)
-	for i := range contents {
-		contents[i] = membershipItem(int64(7000+i), 24)
-		if err := c.BackupItem(uint64(1+i), contents[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	id, err := c.AddNode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Rebalance(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Bytes == 0 {
-		t.Fatalf("rebalance moved nothing onto the fresh node: %+v", res)
-	}
-	if c.Usage(id) == 0 {
-		t.Fatal("fresh node still empty after rebalance")
-	}
-	if c.PendingMigrations() != 0 {
-		t.Fatalf("%d migrations left pending after a clean rebalance", c.PendingMigrations())
-	}
-	for i := range contents {
-		var out bytes.Buffer
-		if err := c.RestoreBackup(context.Background(), uint64(1+i), &out); err != nil {
-			t.Fatalf("restore item %d after rebalance: %v", i, err)
-		}
-		var want bytes.Buffer
-		for _, r := range contents[i] {
-			want.Write(r.Data)
-		}
-		if !bytes.Equal(out.Bytes(), want.Bytes()) {
-			t.Fatalf("item %d corrupted by rebalance", i)
-		}
-	}
-}
-
-// TestMembershipGuards: baselines and untracked configurations refuse
-// membership changes loudly.
+// TestMembershipGuards: baselines refuse membership changes loudly, and
+// the last member can be neither removed nor killed.
 func TestMembershipGuards(t *testing.T) {
 	c, err := New(Config{N: 2, Scheme: router.Stateless})
 	if err != nil {
@@ -281,87 +174,13 @@ func TestMembershipGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if _, err := c2.RemoveNode(context.Background(), 0); err == nil {
-		t.Fatal("RemoveNode without TrackRecipes/payloads must fail")
+	if err := c2.RemoveMember(context.Background(), 0); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestMigrationFaultLeavesPendingAndRecovers exercises the crash matrix
-// at engine level: abort a RemoveNode drain at every stage, verify the
-// transaction stays pending, reconcile, and finish the removal — every
-// item restores byte-identically and nothing leaks.
-func TestMigrationFaultLeavesPendingAndRecovers(t *testing.T) {
-	for _, stage := range []migrate.Stage{
-		migrate.StageRead, migrate.StageStored, migrate.StageCommitted,
-		migrate.StageUpdated, migrate.StageDecreffed,
-	} {
-		stage := stage
-		t.Run(string(stage), func(t *testing.T) {
-			const items = 6
-			c := elasticCluster(t, 3)
-			defer c.Close()
-			contents := make([][]core.ChunkRef, items)
-			for i := range contents {
-				contents[i] = membershipItem(int64(3000+i), 24)
-				if err := c.BackupItem(uint64(1+i), contents[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
-			}
-
-			boom := fmt.Errorf("injected crash at %s", stage)
-			c.SetMigrateFault(func(s migrate.Stage, _ string) error {
-				if s == stage {
-					return boom
-				}
-				return nil
-			})
-			if _, err := c.RemoveNode(context.Background(), 2); err == nil {
-				t.Fatal("fault did not abort the removal")
-			}
-			if c.PendingMigrations() == 0 && stage != migrate.StageDecreffed {
-				// The decreffed stage aborts after the whole protocol ran;
-				// earlier stages must leave the transaction open.
-				t.Fatalf("no pending migration after crash at %s", stage)
-			}
-
-			// Recover and retry without the fault: removal completes.
-			c.SetMigrateFault(nil)
-			if err := c.RecoverMigrations(); err != nil {
-				t.Fatal(err)
-			}
-			if c.PendingMigrations() != 0 {
-				t.Fatal("recovery left transactions pending")
-			}
-			if _, err := c.RemoveNode(context.Background(), 2); err != nil {
-				t.Fatalf("retry after recovery: %v", err)
-			}
-			for i := range contents {
-				var out bytes.Buffer
-				if err := c.RestoreBackup(context.Background(), uint64(1+i), &out); err != nil {
-					t.Fatalf("restore item %d: %v", i, err)
-				}
-				var want bytes.Buffer
-				for _, r := range contents[i] {
-					want.Write(r.Data)
-				}
-				if !bytes.Equal(out.Bytes(), want.Bytes()) {
-					t.Fatalf("item %d corrupted across crash at %s", i, stage)
-				}
-			}
-			for i := 0; i < items; i++ {
-				if err := c.DeleteBackup(uint64(1 + i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := c.Compact(context.Background(), 0.999); err != nil {
-				t.Fatal(err)
-			}
-			if gc := c.GCStats(); gc.LiveBytes != 0 {
-				t.Fatalf("crash at %s leaked %d live bytes", stage, gc.LiveBytes)
-			}
-		})
+	if err := c2.RemoveMember(context.Background(), 1); err == nil {
+		t.Fatal("removing the last member must fail")
+	}
+	if err := c2.KillNode(1); err == nil {
+		t.Fatal("killing the last member must fail")
 	}
 }

@@ -113,12 +113,18 @@ type Remote struct {
 	// in-memory work, never across a dial or a director round trip.
 	memberOp sync.Mutex
 
-	mu       sync.Mutex
-	def      *client.Client // lazy default-stream client
-	defEpoch uint64         // epoch def was dialed against
+	// def is the default backup stream behind the one-shot verbs.
+	def pinnedStream
+
+	dial dialFunc
 
 	migrateFault migrate.Fault
 }
+
+// dialFunc opens one connection to a registry node: a socket to its
+// address on the prototype, an in-process connection on the simulator.
+// Everything above it is the same code on both.
+type dialFunc func(ctx context.Context, id int, addr string) (client.NodeConn, error)
 
 // registry is the Remote's live node set.
 type registry struct {
@@ -132,7 +138,14 @@ type registry struct {
 type registryNode struct {
 	id   int
 	addr string
-	conn *rpc.Client
+	conn client.NodeConn
+}
+
+// currentEpoch returns the registry's membership epoch.
+func (r *registry) currentEpoch() uint64 {
+	r.RLock()
+	defer r.RUnlock()
+	return r.epoch
 }
 
 // snapshot returns the epoch and the node list (the slice is a copy;
@@ -152,10 +165,27 @@ func (r *registry) snapshot() (uint64, []*registryNode) {
 // cluster another client has grown) supplies the node set; otherwise
 // cfg.Nodes registers epoch 1.
 func NewRemote(ctx context.Context, cfg RemoteConfig) (*Remote, error) {
+	return newRemote(ctx, cfg, dialNode)
+}
+
+// dialNode is the prototype's dial: a socket to the node's address.
+func dialNode(ctx context.Context, id int, addr string) (client.NodeConn, error) {
+	c, err := rpc.DialContext(ctx, addr)
+	if err != nil {
+		return nil, fmt.Errorf("sigmadedupe: node %d: %w", id, err)
+	}
+	return c, nil
+}
+
+// newRemote builds a Remote whose node connections come from dial.
+func newRemote(ctx context.Context, cfg RemoteConfig, dial dialFunc) (*Remote, error) {
 	if cfg.Name == "" {
 		cfg.Name = "client"
 	}
-	r := &Remote{cfg: cfg}
+	r := &Remote{cfg: cfg, dial: dial}
+	r.def.r = r
+	r.def.cfg = r.sessionDefaults()
+	r.def.cfg.name = cfg.Name
 	if cfg.IngestCapacityBytes > 0 {
 		r.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, r.tenantWeight)
 	}
@@ -237,16 +267,16 @@ func NewRemote(ctx context.Context, cfg RemoteConfig) (*Remote, error) {
 // registry node. The dial happens outside the registry lock — an
 // unreachable node must not stall every Stats/Backup behind a blocked
 // mutex — and the loser of a concurrent dial race closes its spare.
-func (r *Remote) nodeConn(ctx context.Context, n *registryNode) (*rpc.Client, error) {
+func (r *Remote) nodeConn(ctx context.Context, n *registryNode) (client.NodeConn, error) {
 	r.reg.RLock()
 	conn := n.conn
 	r.reg.RUnlock()
 	if conn != nil {
 		return conn, nil
 	}
-	c, err := rpc.DialContext(ctx, n.addr)
+	c, err := r.dial(ctx, n.id, n.addr)
 	if err != nil {
-		return nil, fmt.Errorf("sigmadedupe: node %d: %w", n.id, err)
+		return nil, err
 	}
 	r.reg.Lock()
 	if n.conn == nil {
@@ -295,13 +325,21 @@ func (r *Remote) primeWeight(ctx context.Context, name string) {
 }
 
 // newClient dials one backup-stream client against the current
-// membership epoch. The client pins that epoch for its whole life —
-// sessions opened before a membership change keep their node set.
+// membership epoch: a fresh connection per node, owned by the client.
+// The client pins that epoch for its whole life — sessions opened
+// before a membership change keep their node set.
 func (r *Remote) newClient(ctx context.Context, cfg sessionConfig) (*client.Client, uint64, error) {
 	epoch, nodes := r.reg.snapshot()
-	addrs := make([]client.NodeAddr, len(nodes))
-	for i, n := range nodes {
-		addrs[i] = client.NodeAddr{ID: n.id, Addr: n.addr}
+	conns := make(map[int]client.NodeConn, len(nodes))
+	for _, n := range nodes {
+		conn, err := r.dial(ctx, n.id, n.addr)
+		if err != nil {
+			for _, c := range conns {
+				c.Close()
+			}
+			return nil, 0, err
+		}
+		conns[n.id] = conn
 	}
 	r.primeWeight(ctx, cfg.tenant)
 	c, err := client.New(ctx, client.Config{
@@ -320,43 +358,115 @@ func (r *Remote) newClient(ctx context.Context, cfg sessionConfig) (*client.Clie
 		Tenant:              cfg.tenant,
 		Scheduler:           r.sched,
 		AdminSession:        cfg.admin,
-	}, r.meta, addrs)
+	}, r.meta, conns)
 	return c, epoch, err
 }
 
-// defaultClient returns (dialing lazily) the client behind the one-shot
-// verbs. A default client pinned to a superseded epoch is retired first
-// — flushed, closed, and re-dialed against the current member set — so
-// one-shot verbs always see the membership the last change committed.
-func (r *Remote) defaultClient(ctx context.Context) (*client.Client, error) {
-	epoch, _ := r.reg.snapshot()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.def != nil && r.defEpoch == epoch {
-		return r.def, nil
+// pinnedStream is a backup stream that follows membership changes. Its
+// client is pinned to one epoch; the first verb after the epoch moves
+// flushes that client (its tail lands on the node set it routed to),
+// closes it and dials a new one against the current member set.
+// Remote's default stream and every simulator session run on it.
+type pinnedStream struct {
+	r   *Remote
+	cfg sessionConfig
+
+	mu    sync.Mutex
+	c     *client.Client // nil until the first verb, and after a retire
+	epoch uint64         // epoch c was dialed against
+	// lost is the failure of a superseded client's final flush. The
+	// stream carries on with a fresh client; the stream's next Flush —
+	// the point its backups were promised durable — reports it.
+	lost error
+}
+
+// client returns the stream's client, pinned to the current epoch.
+func (p *pinnedStream) client(ctx context.Context) (*client.Client, error) {
+	epoch := p.r.reg.currentEpoch()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.c != nil && p.epoch == epoch {
+		return p.c, nil
 	}
-	if r.def != nil {
-		// Epoch moved: settle the old stream (its tail may still be in
-		// flight) before retiring its connections.
-		if err := r.def.Flush(ctx); err != nil {
-			return nil, err
+	if p.c != nil {
+		if err := p.c.Flush(ctx); err != nil && p.lost == nil {
+			p.lost = err
 		}
-		if err := r.def.Close(); err != nil {
-			return nil, err
-		}
-		r.def = nil
+		p.c.Close()
+		p.c = nil
 	}
-	cfg, err := resolveSessionConfig(r.sessionDefaults(), nil)
+	cfg, err := resolveSessionConfig(p.cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	cfg.name = r.cfg.Name
-	c, cEpoch, err := r.newClient(ctx, cfg)
+	c, cEpoch, err := p.r.newClient(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r.def, r.defEpoch = c, cEpoch
+	p.c, p.epoch = c, cEpoch
 	return c, nil
+}
+
+// current returns the stream's client without dialing (nil if none).
+func (p *pinnedStream) current() *client.Client {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.c
+}
+
+// flush completes the stream's backups: recipes seal and replicate.
+// A superseded client's failed flush is reported first. A client whose
+// flush fails is dropped — it has withdrawn what it lost — and the next
+// verb starts a fresh one.
+func (p *pinnedStream) flush(ctx context.Context) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	err := p.lost
+	p.lost = nil
+	if p.c == nil {
+		return err
+	}
+	if ferr := p.c.Flush(ctx); ferr != nil {
+		p.c.Close()
+		p.c = nil
+		if err == nil {
+			err = ferr
+		}
+	}
+	return err
+}
+
+// retire ends the stream's client ahead of a membership change. With
+// flush set the client flushes first; without, it is abandoned — a node
+// it pins was killed — and the recipes that lost a chunk's only copy
+// are withdrawn. The next verb dials against the current epoch.
+func (p *pinnedStream) retire(ctx context.Context, flush bool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.c == nil {
+		return nil
+	}
+	var err error
+	if flush {
+		err = p.c.Flush(ctx)
+		p.c.Close()
+	} else {
+		p.c.Abandon(ctx)
+	}
+	p.c = nil
+	return err
+}
+
+// close releases the stream's client.
+func (p *pinnedStream) close() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.c == nil {
+		return nil
+	}
+	err := p.c.Close()
+	p.c = nil
+	return err
 }
 
 // NewSession opens an explicit backup stream: its own node connections,
@@ -380,10 +490,11 @@ func (r *Remote) NewSession(ctx context.Context, opts ...SessionOption) (*Sessio
 // stream, reading r incrementally with peak buffered payload bounded by
 // the in-flight window. Canceling ctx aborts within about one
 // super-chunk of work; the default stream is then failed (recipe
-// attribution cannot survive a dropped super-chunk) and further one-shot
-// backups report the same error.
+// attribution cannot survive a dropped super-chunk): further one-shot
+// backups report the same error until Flush reports it and the stream
+// starts over on a fresh client.
 func (r *Remote) Backup(ctx context.Context, name string, rd io.Reader) error {
-	c, err := r.defaultClient(ctx)
+	c, err := r.def.client(ctx)
 	if err != nil {
 		return err
 	}
@@ -393,20 +504,12 @@ func (r *Remote) Backup(ctx context.Context, name string, rd io.Reader) error {
 // Flush completes the default backup stream: the final partial
 // super-chunk routes, in-flight transfers drain, recipes complete and
 // remote containers seal.
-func (r *Remote) Flush(ctx context.Context) error {
-	r.mu.Lock()
-	c := r.def
-	r.mu.Unlock()
-	if c == nil {
-		return nil // nothing backed up yet
-	}
-	return c.Flush(ctx)
-}
+func (r *Remote) Flush(ctx context.Context) error { return r.def.flush(ctx) }
 
 // Restore streams a backed-up name to w, prefetching chunks from the
 // nodes recorded in its recipe. An unknown name fails with ErrNotFound.
 func (r *Remote) Restore(ctx context.Context, name string, w io.Writer) error {
-	c, err := r.defaultClient(ctx)
+	c, err := r.def.client(ctx)
 	if err != nil {
 		return err
 	}
@@ -418,7 +521,7 @@ func (r *Remote) Restore(ctx context.Context, name string, w io.Writer) error {
 // backup's chunks releases its references on them. The freed chunks
 // become dead container space until compaction reclaims it.
 func (r *Remote) Delete(ctx context.Context, name string) error {
-	c, err := r.defaultClient(ctx)
+	c, err := r.def.client(ctx)
 	if err != nil {
 		return err
 	}
@@ -527,13 +630,25 @@ func (r *Remote) AddNode(ctx context.Context, addr string) (int, error) {
 	}
 	r.memberOp.Lock()
 	defer r.memberOp.Unlock()
-	epoch, nodes := r.reg.snapshot()
+	_, nodes := r.reg.snapshot()
 	id := 0
-	infos := make([]director.NodeInfo, 0, len(nodes)+1)
 	for _, n := range nodes {
 		if n.id >= id {
 			id = n.id + 1
 		}
+	}
+	if err := r.addMemberLocked(ctx, id, addr); err != nil {
+		return 0, err
+	}
+	return id, nil
+}
+
+// addMemberLocked commits the next membership epoch with node id at
+// addr joined and applies it to the registry. Caller holds memberOp.
+func (r *Remote) addMemberLocked(ctx context.Context, id int, addr string) error {
+	epoch, nodes := r.reg.snapshot()
+	infos := make([]director.NodeInfo, 0, len(nodes)+1)
+	for _, n := range nodes {
 		infos = append(infos, director.NodeInfo{ID: n.id, Addr: n.addr})
 	}
 	infos = append(infos, director.NodeInfo{ID: id, Addr: addr})
@@ -544,13 +659,13 @@ func (r *Remote) AddNode(ctx context.Context, addr string) (int, error) {
 	// local membership ops from interleaving.
 	members, err := r.clusterMeta.SetMembers(ctx, epoch, infos)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	r.reg.Lock()
 	r.reg.epoch = members.Epoch
 	r.reg.nodes = append(r.reg.nodes, &registryNode{id: id, addr: addr})
 	r.reg.Unlock()
-	return id, nil
+	return nil
 }
 
 // migrator builds the migration engine over one consistent registry
@@ -559,7 +674,7 @@ func (r *Remote) AddNode(ctx context.Context, addr string) (int, error) {
 // two registry reads cannot hand the engine a member it cannot dial.
 func (r *Remote) migrator(ctx context.Context) (*client.Migrator, core.Membership, error) {
 	epoch, nodes := r.reg.snapshot()
-	conns := make(map[int]*rpc.Client, len(nodes))
+	conns := make(map[int]client.NodeConn, len(nodes))
 	ids := make([]int, 0, len(nodes))
 	for _, n := range nodes {
 		conn, err := r.nodeConn(ctx, n)
@@ -609,10 +724,11 @@ func (r *Remote) RemoveNode(ctx context.Context, id int) (MigrationResult, error
 	if err := r.guardNoPendingMigrations(ctx); err != nil {
 		return res, err
 	}
-	// Settle the default stream's buffered tail before planning: an
+	// Settle and retire the default stream before planning: an
 	// unflushed one-shot backup could otherwise route its final
-	// super-chunk to the node after the drain scanned it.
-	if err := r.Flush(ctx); err != nil {
+	// super-chunk to the node after the drain scanned it. The next
+	// one-shot verb dials the new epoch.
+	if err := r.def.retire(ctx, true); err != nil {
 		return res, err
 	}
 	m, members, err := r.migrator(ctx)
@@ -633,23 +749,31 @@ func (r *Remote) RemoveNode(ctx context.Context, id int) (MigrationResult, error
 	if err != nil {
 		return res, err
 	}
-	// Commit the shrunken epoch: the director round trip runs outside
-	// the registry lock (memberOp serializes local membership ops, the
-	// director's epoch CAS catches remote ones), then the registry
-	// applies the committed epoch.
+	return res, r.dropMemberLocked(ctx, id)
+}
+
+// dropMemberLocked commits the next membership epoch without node id,
+// drops it from the registry and closes its control connection (best
+// effort: its peer may already be gone). The director round trip runs
+// outside the registry lock — memberOp serializes local membership ops,
+// the director's epoch CAS catches remote ones. Caller holds memberOp.
+func (r *Remote) dropMemberLocked(ctx context.Context, id int) error {
 	epoch, nodes := r.reg.snapshot()
-	infos := make([]director.NodeInfo, 0, len(nodes)-1)
+	infos := make([]director.NodeInfo, 0, len(nodes))
 	for _, n := range nodes {
 		if n.id != id {
 			infos = append(infos, director.NodeInfo{ID: n.id, Addr: n.addr})
 		}
 	}
+	if len(infos) == len(nodes) {
+		return fmt.Errorf("sigmadedupe: no node %d in the current epoch: %w", id, ErrNotFound)
+	}
 	committed, err := r.clusterMeta.SetMembers(ctx, epoch, infos)
 	if err != nil {
-		return res, err
+		return err
 	}
 	r.reg.Lock()
-	keep := make([]*registryNode, 0, len(r.reg.nodes)-1)
+	keep := make([]*registryNode, 0, len(r.reg.nodes))
 	var removed *registryNode
 	for _, n := range r.reg.nodes {
 		if n.id == id {
@@ -662,9 +786,9 @@ func (r *Remote) RemoveNode(ctx context.Context, id int) (MigrationResult, error
 	r.reg.nodes = keep
 	r.reg.Unlock()
 	if removed != nil && removed.conn != nil {
-		removed.conn.Close()
+		_ = removed.conn.Close()
 	}
-	return res, nil
+	return nil
 }
 
 // Rebalance implements Backend: super-chunk segments migrate from
@@ -692,59 +816,22 @@ func (r *Remote) Rebalance(ctx context.Context) (MigrationResult, error) {
 // drain — the hard-crash path, taken when the node's server is already
 // gone (or about to be). The shrunken epoch commits on the director,
 // the registry drops the node and its connections close; nothing
-// migrates. The default backup stream is retired without a flush —
+// migrates. The default backup stream is abandoned without a flush —
 // flushing through a dead node cannot succeed, and kill semantics mean
-// its unflushed tail is lost. With RemoteConfig.Replicas ≥ 2 every
-// completed backup keeps restoring through failover reads; run Repair
-// to restore R=2 and release strays.
+// its unflushed tail is lost; with RemoteConfig.Replicas ≥ 2 an
+// unflushed backup that kept a chunk only on the dead node is
+// withdrawn too. Every flushed backup keeps restoring through failover
+// reads; run Repair to restore R=2 and release strays.
 func (r *Remote) KillNode(ctx context.Context, id int) error {
 	r.memberOp.Lock()
 	defer r.memberOp.Unlock()
-	epoch, nodes := r.reg.snapshot()
-	if len(nodes) <= 1 {
+	if _, nodes := r.reg.snapshot(); len(nodes) <= 1 {
 		return fmt.Errorf("sigmadedupe: cannot kill the last node")
 	}
-	infos := make([]director.NodeInfo, 0, len(nodes)-1)
-	found := false
-	for _, n := range nodes {
-		if n.id == id {
-			found = true
-			continue
-		}
-		infos = append(infos, director.NodeInfo{ID: n.id, Addr: n.addr})
-	}
-	if !found {
-		return fmt.Errorf("sigmadedupe: no node %d in the current epoch: %w", id, ErrNotFound)
-	}
-	committed, err := r.clusterMeta.SetMembers(ctx, epoch, infos)
-	if err != nil {
+	if err := r.dropMemberLocked(ctx, id); err != nil {
 		return err
 	}
-	r.reg.Lock()
-	keep := make([]*registryNode, 0, len(r.reg.nodes)-1)
-	var removed *registryNode
-	for _, n := range r.reg.nodes {
-		if n.id == id {
-			removed = n
-			continue
-		}
-		keep = append(keep, n)
-	}
-	r.reg.epoch = committed.Epoch
-	r.reg.nodes = keep
-	r.reg.Unlock()
-	if removed != nil && removed.conn != nil {
-		_ = removed.conn.Close() // best effort: its peer may already be gone
-	}
-	// Retire the default stream (it may hold connections to the dead
-	// node); the next one-shot verb re-dials against the new epoch.
-	r.mu.Lock()
-	if r.def != nil {
-		_ = r.def.Close()
-		r.def = nil
-	}
-	r.mu.Unlock()
-	return nil
+	return r.def.retire(ctx, false)
 }
 
 // Repair implements Backend: the anti-entropy pass after a crash —
@@ -784,9 +871,7 @@ func (r *Remote) setMigrateFault(fn migrate.Fault) { r.migrateFault = fn }
 // BackupStats returns the default backup stream's session counters
 // (zero before the first one-shot Backup).
 func (r *Remote) BackupStats() SessionStats {
-	r.mu.Lock()
-	c := r.def
-	r.mu.Unlock()
+	c := r.def.current()
 	if c == nil {
 		return SessionStats{}
 	}
@@ -796,9 +881,7 @@ func (r *Remote) BackupStats() SessionStats {
 // RPCMessages returns the RPC requests issued by the default stream —
 // the prototype-side Fig. 7 overhead accounting.
 func (r *Remote) RPCMessages() int64 {
-	r.mu.Lock()
-	c := r.def
-	r.mu.Unlock()
+	c := r.def.current()
 	if c == nil {
 		return 0
 	}
@@ -809,14 +892,7 @@ func (r *Remote) RPCMessages() int64 {
 // control connections and the director connection (when dialed),
 // propagating the first failure.
 func (r *Remote) Close() error {
-	r.mu.Lock()
-	c := r.def
-	r.def = nil
-	r.mu.Unlock()
-	var first error
-	if c != nil {
-		first = c.Close()
-	}
+	first := r.def.close()
 	r.reg.Lock()
 	for _, n := range r.reg.nodes {
 		if n.conn != nil {
@@ -865,108 +941,3 @@ func sessionStatsOf(c *client.Client) SessionStats {
 		FailoverReads:     st.FailoverReads,
 	}
 }
-
-// BackupClient performs source inline deduplicated backup over TCP.
-//
-// Deprecated: BackupClient is the v1 prototype surface, kept as a thin
-// wrapper for one release. Use NewRemote (the Backend interface) and
-// NewSession instead; see the migration table in README.md.
-type BackupClient struct {
-	r *Remote
-}
-
-// BackupClientConfig parameterizes a backup client.
-//
-// Deprecated: use RemoteConfig with NewRemote.
-type BackupClientConfig struct {
-	// Name identifies the client in sessions (default "client").
-	Name string
-	// SuperChunkSize is the routing granularity (default 1MB).
-	SuperChunkSize int64
-	// HandprintSize is k (default 8).
-	HandprintSize int
-	// Workers sizes the chunk-fingerprint worker pool of the ingest
-	// pipeline (default: GOMAXPROCS). 1 fingerprints serially.
-	Workers int
-	// InflightSuperChunks bounds the window of asynchronous Store RPCs a
-	// stream keeps in flight (default 4; 1 restores the fully serial
-	// store path).
-	InflightSuperChunks int
-}
-
-// NewBackupClient connects a backup client to a set of deduplication
-// servers and a director.
-//
-// Deprecated: use NewRemote.
-func NewBackupClient(cfg BackupClientConfig, dir *Director, nodeAddrs []string) (*BackupClient, error) {
-	r, err := NewRemote(context.Background(), RemoteConfig{
-		Name:                cfg.Name,
-		Director:            dir,
-		Nodes:               nodeAddrs,
-		SuperChunkSize:      cfg.SuperChunkSize,
-		HandprintSize:       cfg.HandprintSize,
-		Workers:             cfg.Workers,
-		InflightSuperChunks: cfg.InflightSuperChunks,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// v1 dialed eagerly; keep that so connection errors surface here.
-	if _, err := r.defaultClient(context.Background()); err != nil {
-		r.Close()
-		return nil, err
-	}
-	return &BackupClient{r: r}, nil
-}
-
-// BackupFile deduplicates and stores one file.
-//
-// Deprecated: use Remote.Backup or Session.Backup with a context.
-func (b *BackupClient) BackupFile(path string, r io.Reader) error {
-	return b.r.Backup(context.Background(), path, r)
-}
-
-// Flush completes the backup session.
-//
-// Deprecated: use Remote.Flush with a context.
-func (b *BackupClient) Flush() error { return b.r.Flush(context.Background()) }
-
-// Restore streams a backed-up file to w.
-//
-// Deprecated: use Remote.Restore with a context.
-func (b *BackupClient) Restore(path string, w io.Writer) error {
-	return b.r.Restore(context.Background(), path, w)
-}
-
-// DeleteBackup deletes one backed-up file.
-//
-// Deprecated: use Remote.Delete with a context.
-func (b *BackupClient) DeleteBackup(path string) error {
-	return b.r.Delete(context.Background(), path)
-}
-
-// Compact asks every connected node to run one compaction scan (≤0
-// threshold selects each node's configured live-ratio floor).
-//
-// Deprecated: use Remote.Compact with a context.
-func (b *BackupClient) Compact(threshold float64) (GCResult, error) {
-	return b.r.Compact(context.Background(), threshold)
-}
-
-// GCStats sums the garbage-collection counters of every connected node.
-//
-// Deprecated: use Remote.GCStats with a context.
-func (b *BackupClient) GCStats() (GCStats, error) {
-	return b.r.GCStats(context.Background())
-}
-
-// Close releases connections, propagating the first close failure (v1
-// silently swallowed them).
-func (b *BackupClient) Close() error { return b.r.Close() }
-
-// BandwidthSaving reports the fraction of payload bytes source dedup kept
-// off the network.
-func (b *BackupClient) BandwidthSaving() float64 { return b.r.BackupStats().BandwidthSaving() }
-
-// LogicalBytes reports bytes presented for backup.
-func (b *BackupClient) LogicalBytes() int64 { return b.r.BackupStats().LogicalBytes }

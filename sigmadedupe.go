@@ -27,13 +27,14 @@ package sigmadedupe
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sigmadedupe/internal/chunker"
+	"sigmadedupe/internal/client"
 	"sigmadedupe/internal/cluster"
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
@@ -118,12 +119,12 @@ type ClusterConfig struct {
 	// FingerprintSHA1; FingerprintSHA256 is faster on CPUs with SHA
 	// extensions).
 	Fingerprint FingerprintAlgorithm
-	// Replicas ≥ 2 keeps a second copy of every super-chunk on the
-	// rendezvous replica owner (the second-highest similarity bid), so
-	// one node can crash without losing a byte: restores fail over to
-	// the replica and Repair re-establishes R=2. Requires SchemeSigma,
-	// KeepPayloads (or Dir) and at least two nodes; 0 or 1 keeps the
-	// single-copy behavior. Values above 2 are capped at 2.
+	// Replicas ≥ 2 keeps a second copy of every super-chunk run on its
+	// rendezvous replica owner, made when the writing session flushes
+	// (as on Remote), so one node can crash without losing a flushed
+	// byte: restores fail over to the replica and Repair re-establishes
+	// R=2. Requires KeepPayloads (or Dir) and at least two nodes; 0 or 1
+	// keeps the single-copy behavior. Values above 2 are capped at 2.
 	Replicas int
 	// IngestCapacityBytes, when positive, bounds the payload bytes
 	// concurrently inside the routing stage across all sessions; the
@@ -147,34 +148,34 @@ type ClusterStats struct {
 }
 
 // Cluster is the simulated inline deduplication cluster, one of the two
-// Backend implementations. The one-shot Backup/Restore/Delete verbs run
-// on an implicit default stream (single-goroutine, like a real backup
-// stream); concurrent streams go through NewSession.
+// Backend implementations. Ingest runs on the simulator's routing
+// streams, which serve every routing scheme and keep the paper's
+// fingerprint-lookup message accounting. Everything after ingest —
+// recipes, names, tenants, restore, delete, compaction, membership
+// migration, replication and repair — runs on the same director and
+// client code as Remote, over in-process node connections. The one-shot
+// Backup/Restore/Delete verbs run on an implicit default stream
+// (single-goroutine, like a real backup stream); concurrent streams go
+// through NewSession.
 type Cluster struct {
 	cfg       ClusterConfig
 	inner     *cluster.Cluster
 	exact     *cluster.ExactTracker
 	algorithm fingerprint.Algorithm
 
-	// tenants is the simulator's in-memory tenant control plane (the
-	// prototype's lives behind the director journal), and sched the
-	// weighted-fair ingest scheduler shared by every session (nil when
-	// IngestCapacityBytes is 0).
-	tenants *tenant.Registry
-	sched   *tenant.Scheduler
+	// dir holds the simulator's recipes, backup names and tenants; mgmt
+	// is the management path over it: a Remote whose node connections
+	// call the simulated nodes in process.
+	dir  *director.Director
+	mgmt *Remote
 
-	// mu guards the backup-name tracker: nextFile, fileIDs and
-	// fileSizes. Sessions may run concurrently; each reserves its IDs
-	// here. Keys are tenant-scoped (tenant.Key; the default tenant's
-	// stay flat).
-	mu        sync.Mutex
-	nextFile  uint64
-	fileIDs   map[string]uint64 // composite recipe key → tracked item ID
-	fileSizes map[string]int64  // composite recipe key → logical bytes
+	// nextItem numbers the backup items fed to the routing streams.
+	nextItem atomic.Uint64
 
-	// defSess is the lazily created default session backing the one-shot
-	// Backup verb.
-	defSess *Session
+	// defSess is the default session backing the one-shot Backup verb,
+	// bound to the simulator's default stream for bit-compatible
+	// container attribution with earlier releases.
+	defSess *clusterSession
 }
 
 // NewCluster builds a simulated cluster. Backups fed through Backup or a
@@ -188,13 +189,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 4096
 	}
+	if cfg.Replicas >= 2 && !cfg.KeepPayloads && cfg.Dir == "" {
+		return nil, fmt.Errorf("sigmadedupe: Replicas needs payload-carrying nodes (KeepPayloads or Dir)")
+	}
 	inner, err := cluster.New(cluster.Config{
 		N:              cfg.Nodes,
 		Scheme:         cfg.Scheme.internal(),
 		HandprintK:     cfg.HandprintSize,
 		SuperChunkSize: cfg.SuperChunkSize,
 		TrackRecipes:   cfg.Scheme != SchemeExtremeBinning,
-		Replicas:       cfg.Replicas,
 		Node: node.Config{
 			Dir:              cfg.Dir,
 			KeepPayloads:     cfg.KeepPayloads,
@@ -205,90 +208,45 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	dir := director.New()
+	// In-process nodes have no address; the director tracks their IDs.
+	mgmt, err := newRemote(context.TODO(), RemoteConfig{
+		Name:                "sim",
+		Director:            dir,
+		Nodes:               make([]string, cfg.Nodes),
+		SuperChunkSize:      cfg.SuperChunkSize,
+		HandprintSize:       cfg.HandprintSize,
+		Fingerprint:         cfg.Fingerprint,
+		Replicas:            cfg.Replicas,
+		IngestCapacityBytes: cfg.IngestCapacityBytes,
+	}, func(_ context.Context, id int, _ string) (client.NodeConn, error) {
+		return rpc.NewLocal(func() (*node.Node, error) { return inner.Node(id) }), nil
+	})
+	if err != nil {
+		inner.Close()
+		return nil, err
+	}
 	c := &Cluster{
 		cfg:       cfg,
 		inner:     inner,
 		exact:     cluster.NewExactTracker(),
 		algorithm: cfg.Fingerprint.internal(),
-		tenants:   tenant.NewRegistry(),
-		fileIDs:   make(map[string]uint64),
-		fileSizes: make(map[string]int64),
+		dir:       dir,
+		mgmt:      mgmt,
 	}
-	if cfg.IngestCapacityBytes > 0 {
-		c.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, c.tenants.Weight)
-	}
+	cfgDef := c.sessionDefaults()
+	cfgDef.name = inner.Default().Name()
+	cfgDef.tenant = tenant.Default
+	c.defSess = c.newSession(inner.Default(), cfgDef)
 	return c, nil
 }
 
 // sessionDefaults derives the cluster's default session configuration.
 func (c *Cluster) sessionDefaults() sessionConfig {
 	return sessionConfig{
-		chunk: ChunkSpec{Method: ChunkFixed, Size: c.cfg.ChunkSize},
+		chunk:      ChunkSpec{Method: ChunkFixed, Size: c.cfg.ChunkSize},
+		handprintK: c.cfg.HandprintSize,
 	}
-}
-
-// reserveID hands out the next backup item ID.
-func (c *Cluster) reserveID() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nextFile++
-	return c.nextFile
-}
-
-// commitBackup points the tenant-scoped name at the completed backup id.
-// Only a completed backup takes the name: a failed re-backup must not
-// repoint the name at a partial recipe (nor strand the previous one). A
-// re-backup of the same name supersedes the previous generation: only
-// the latest is restorable/deletable by name, so the superseded recipe's
-// references are released (the new backup took its own). The whole
-// commit — quota check, lookup, repoint, supersede-delete — runs under
-// mu, so a concurrent Delete of the same name serializes before or
-// after it, never between. The hard quota check runs here (enforced
-// accounting): a backup that would push the tenant over quota is rolled
-// back and refused with ErrQuotaExceeded, matching the director's
-// PutRecipe-time check on the prototype.
-func (c *Cluster) commitBackup(tn, name string, id uint64, size int64) error {
-	key := tenant.Key(tn, name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev, hadPrev := c.fileIDs[key]
-	prevSize := c.fileSizes[key]
-	if err := c.tenants.AccountPut(tn, size, prevSize, !hadPrev, true); err != nil {
-		if c.cfg.Scheme != SchemeExtremeBinning {
-			if delErr := c.inner.DeleteBackup(id); delErr != nil && !errors.Is(delErr, sderr.ErrNotFound) {
-				return fmt.Errorf("%w (cleanup failed: %v)", err, delErr)
-			}
-		}
-		return err
-	}
-	c.fileIDs[key] = id
-	c.fileSizes[key] = size
-	if hadPrev && c.cfg.Scheme != SchemeExtremeBinning {
-		return c.inner.DeleteBackup(prev)
-	}
-	return nil
-}
-
-// abortBackup cleans up after a failed backup: any partially routed
-// super-chunks release their references and tracked recipe entries, and
-// the reserved ID rolls back — the tracker is exactly as before the
-// attempt (the satellite invariant a failed backup must preserve). A
-// cleanup failure is returned (it means references may be stranded and
-// the caller must not claim a clean abort); "not found" is expected —
-// it just means nothing was routed before the failure.
-func (c *Cluster) abortBackup(id uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var cleanupErr error
-	if c.cfg.Scheme != SchemeExtremeBinning {
-		if err := c.inner.DeleteBackup(id); err != nil && !errors.Is(err, sderr.ErrNotFound) {
-			cleanupErr = fmt.Errorf("releasing partial backup %d: %w", id, err)
-		}
-	}
-	if c.nextFile == id {
-		c.nextFile--
-	}
-	return cleanupErr
 }
 
 // NewSession opens an explicit backup stream on the simulator: its own
@@ -298,8 +256,8 @@ func (c *Cluster) abortBackup(id uint64) error {
 // WithInflightSuperChunks — have no effect here: the simulator
 // fingerprints on the calling goroutine and routes each super-chunk
 // synchronously (an in-process store is a memory operation, there is no
-// transfer to overlap). Not supported for SchemeExtremeBinning, whose
-// file-level routing needs whole files.
+// transfer to overlap). Tenant admission happens here. Not supported
+// for SchemeExtremeBinning, whose file-level routing needs whole files.
 func (c *Cluster) NewSession(ctx context.Context, opts ...SessionOption) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -311,56 +269,33 @@ func (c *Cluster) NewSession(ctx context.Context, opts ...SessionOption) (*Sessi
 	if err != nil {
 		return nil, err
 	}
-	name := cfg.name
-	if name == "" {
-		name = fmt.Sprintf("session%d", c.reserveID())
+	if cfg.name == "" {
+		cfg.name = fmt.Sprintf("session%d", c.nextItem.Add(1))
 	}
-	// Tenant admission: an unknown tenant fails with ErrNotFound, one at
-	// or over quota with ErrQuotaExceeded — the hard check. The quota
-	// headroom and dedup-domain salt are resolved once, here.
-	tn := cfg.tenant
-	if tn == "" {
-		tn = tenant.Default
+	if cfg.tenant == "" {
+		cfg.tenant = tenant.Default
 	}
-	info, err := c.tenants.Get(tn)
+	stream, err := c.inner.StreamSized(cfg.name, cfg.superChunkSize)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.tenants.Admit(tn); err != nil {
+	sess := c.newSession(stream, cfg)
+	if _, err := sess.pin.client(ctx); err != nil {
+		stream.Close()
 		return nil, err
-	}
-	stream, err := c.inner.StreamSized(name, cfg.superChunkSize)
-	if err != nil {
-		return nil, err
-	}
-	sess := &clusterSession{c: c, stream: stream, cfg: cfg, tenant: tn, headroom: -1}
-	if info.QuotaBytes > 0 {
-		sess.headroom = info.QuotaBytes - c.tenants.GetUsage(tn).LiveBytes
-		if sess.headroom < 0 {
-			sess.headroom = 0
-		}
-	}
-	if info.Domain == tenant.DomainIsolated {
-		sess.salt = tenant.Salt(tn)
-		sess.salted = true
 	}
 	return &Session{impl: sess}, nil
 }
 
-// defaultSession returns the session backing the one-shot Backup verb,
-// bound to the simulator's default stream for bit-compatible container
-// attribution with earlier releases.
-func (c *Cluster) defaultSession() *Session {
-	if c.defSess == nil {
-		c.defSess = &Session{impl: &clusterSession{
-			c:        c,
-			stream:   c.inner.Default(),
-			cfg:      c.sessionDefaults(),
-			tenant:   tenant.Default,
-			headroom: -1,
-		}}
+func (c *Cluster) newSession(stream *cluster.Stream, cfg sessionConfig) *clusterSession {
+	s := &clusterSession{
+		c:      c,
+		stream: stream,
+		cfg:    cfg,
+		bufs:   client.NewBufPool(chunker.MaxChunkSize(cfg.chunk.Method.internal(), cfg.chunk.Size), false),
 	}
-	return c.defSess
+	s.pin.r, s.pin.cfg = c.mgmt, cfg
+	return s
 }
 
 // Backup chunks and deduplicates one named stream into the cluster,
@@ -369,15 +304,15 @@ func (c *Cluster) defaultSession() *Session {
 // super-chunk regardless of stream size. Under SchemeExtremeBinning the
 // stream is buffered whole instead — file-level routing needs the whole
 // file's representative fingerprint; that is the scheme's nature, not an
-// implementation shortcut.
+// implementation shortcut — and no recipe is kept.
 //
-// A failed backup leaves the tracker untouched: the name keeps pointing
+// A failed backup leaves the catalog untouched: the name keeps pointing
 // at its previous generation (if any) and nothing is stranded.
 func (c *Cluster) Backup(ctx context.Context, name string, r io.Reader) error {
 	if c.cfg.Scheme == SchemeExtremeBinning {
 		return c.backupBuffered(ctx, name, r)
 	}
-	return c.defaultSession().Backup(ctx, name, r)
+	return c.defSess.backup(ctx, name, r)
 }
 
 // backupBuffered is the whole-file path for Extreme Binning.
@@ -397,105 +332,48 @@ func (c *Cluster) backupBuffered(ctx context.Context, name string, r io.Reader) 
 		return &BackupError{Name: name, Stage: "chunk", Err: err}
 	}
 	refs := make([]core.ChunkRef, len(chunks))
-	var size int64
 	for i, ch := range chunks {
 		refs[i] = core.ChunkRef{FP: c.algorithm.Sum(ch.Data), Size: ch.Len()}
-		size += int64(ch.Len())
 		if c.cfg.KeepPayloads {
 			refs[i].Data = ch.Data
 		}
 	}
 	c.exact.Add(refs)
-	id := c.reserveID()
-	if err := c.inner.BackupItem(id, refs); err != nil {
-		berr := error(&BackupError{Name: name, Stage: "store", Err: err})
-		if cleanupErr := c.abortBackup(id); cleanupErr != nil {
-			berr = fmt.Errorf("%w (cleanup failed: %v)", berr, cleanupErr)
-		}
-		return berr
+	if err := c.inner.BackupItem(c.nextItem.Add(1), refs); err != nil {
+		return &BackupError{Name: name, Stage: "store", Err: err}
 	}
-	return c.commitBackup(tenant.Default, name, id, size)
-}
-
-// Restore streams the named backup back to w, reading each chunk of its
-// tracked recipe from the owning simulated node. Requires KeepPayloads
-// (or a durable Dir). An unknown name fails with ErrNotFound.
-func (c *Cluster) Restore(ctx context.Context, name string, w io.Writer) error {
-	return c.restoreTenant(ctx, tenant.Default, name, w)
-}
-
-// restoreTenant is the tenant-scoped restore shared by Restore (default
-// tenant) and RestoreTenant.
-func (c *Cluster) restoreTenant(ctx context.Context, tn, name string, w io.Writer) error {
-	if c.cfg.Scheme == SchemeExtremeBinning {
-		// EB keeps no recipes (bin stores bypass the refcounted chunk
-		// index), so an existing backup must not masquerade as
-		// ErrNotFound — the operation is unsupported, full stop.
-		return fmt.Errorf("sigmadedupe: Restore is not supported for Extreme Binning (no recipe tracking)")
-	}
-	if err := tenant.ValidateBackupName(name); err != nil {
-		return fmt.Errorf("sigmadedupe: %w", err)
-	}
-	key := tenant.Key(tn, name)
-	c.mu.Lock()
-	id, ok := c.fileIDs[key]
-	size := c.fileSizes[key]
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("sigmadedupe: no backup named %q: %w", name, sderr.ErrNotFound)
-	}
-	if err := c.inner.RestoreBackup(ctx, id, w); err != nil {
-		return err
-	}
-	c.tenants.AccountTransfer(tn, 0, size)
 	return nil
 }
 
-// Delete deletes a named backup: its tracked recipe is dropped and the
+// recipesGuard refuses the recipe verbs under Extreme Binning: EB keeps
+// no recipes (bin stores bypass the refcounted chunk index), so an
+// existing backup must not masquerade as ErrNotFound.
+func (c *Cluster) recipesGuard(verb string) error {
+	if c.cfg.Scheme == SchemeExtremeBinning {
+		return fmt.Errorf("sigmadedupe: %s is not supported for Extreme Binning (no recipe tracking)", verb)
+	}
+	return nil
+}
+
+// Restore streams the named backup back to w from the nodes its recipe
+// names, failing over to replicas. Requires KeepPayloads (or a durable
+// Dir). An unknown name fails with ErrNotFound.
+func (c *Cluster) Restore(ctx context.Context, name string, w io.Writer) error {
+	if err := c.recipesGuard("Restore"); err != nil {
+		return err
+	}
+	return c.mgmt.Restore(ctx, name, w)
+}
+
+// Delete deletes a named backup: its recipe leaves the catalog and the
 // owning nodes release its chunk references. The freed chunks become
 // dead container space until Compact (or the background compactor)
 // reclaims it. An unknown name fails with ErrNotFound.
 func (c *Cluster) Delete(ctx context.Context, name string) error {
-	return c.deleteTenant(ctx, tenant.Default, name)
-}
-
-// deleteTenant is the tenant-scoped delete shared by Delete (default
-// tenant) and DeleteTenant.
-func (c *Cluster) deleteTenant(ctx context.Context, tn, name string) error {
-	if err := ctx.Err(); err != nil {
+	if err := c.recipesGuard("Delete"); err != nil {
 		return err
 	}
-	if c.cfg.Scheme == SchemeExtremeBinning {
-		return fmt.Errorf("sigmadedupe: Delete is not supported for Extreme Binning (no recipe tracking)")
-	}
-	if err := tenant.ValidateBackupName(name); err != nil {
-		return fmt.Errorf("sigmadedupe: %w", err)
-	}
-	// Lookup, inner delete and name removal form one critical section:
-	// interleaving with a concurrent re-backup's commit would otherwise
-	// delete the superseded generation out from under the commit (or
-	// strand the new one nameless).
-	key := tenant.Key(tn, name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, ok := c.fileIDs[key]
-	if !ok {
-		return fmt.Errorf("sigmadedupe: no backup named %q: %w", name, sderr.ErrNotFound)
-	}
-	if err := c.inner.DeleteBackup(id); err != nil {
-		return err
-	}
-	c.tenants.AccountDelete(tn, c.fileSizes[key])
-	delete(c.fileIDs, key)
-	delete(c.fileSizes, key)
-	return nil
-}
-
-// DeleteBackup deletes a named backup.
-//
-// Deprecated: use Delete, which takes a context.
-func (c *Cluster) DeleteBackup(name string) error {
-	return c.Delete(context.Background(), name)
+	return c.mgmt.Delete(ctx, name)
 }
 
 // GCResult summarizes one compaction pass across the cluster.
@@ -511,8 +389,7 @@ type GCResult struct {
 // default, 0.5) and reclaiming the dead space of deleted backups. A
 // canceled ctx stops between containers.
 func (c *Cluster) Compact(ctx context.Context, threshold float64) (GCResult, error) {
-	res, err := c.inner.Compact(ctx, threshold)
-	return toGCResult(res), err
+	return c.mgmt.Compact(ctx, threshold)
 }
 
 // toGCResult converts the storage engine's compaction summary to the
@@ -557,13 +434,18 @@ type GCStats struct {
 	LastCompactErr string
 }
 
-// GCStats returns the cluster's garbage-collection counters.
-func (c *Cluster) GCStats() GCStats { return toGCStats(c.inner.GCStats()) }
+// GCStats returns the cluster's garbage-collection counters. In-process
+// nodes cannot be unreachable, so there is no error to report.
+func (c *Cluster) GCStats() GCStats {
+	gc, _ := c.mgmt.GCStats(context.TODO())
+	return gc
+}
 
-// Flush completes the default backup stream (routes the final partial
-// super-chunk and seals containers). Explicit sessions flush themselves.
+// Flush completes the default backup stream — the final partial
+// super-chunk routes, recipes are sealed and replicated — and seals
+// every node's open containers. Explicit sessions flush themselves.
 func (c *Cluster) Flush(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
+	if err := c.defSess.flush(ctx); err != nil {
 		return err
 	}
 	return c.inner.Flush()
@@ -571,7 +453,24 @@ func (c *Cluster) Flush(ctx context.Context) error {
 
 // Close shuts every node down, releasing durable manifests. A durable
 // cluster directory can be re-opened later.
-func (c *Cluster) Close() error { return c.inner.Close() }
+func (c *Cluster) Close() error {
+	c.defSess.close()
+	c.mgmt.Close()
+	return c.inner.Close()
+}
+
+// migrationGuard rejects placement changes on configurations that
+// cannot support them: only the Sigma scheme's similarity routing is
+// membership-aware, and moving chunks needs their payloads.
+func (c *Cluster) migrationGuard() error {
+	if c.cfg.Scheme.internal() != router.Sigma {
+		return fmt.Errorf("sigmadedupe: membership changes require SchemeSigma (have %s)", c.cfg.Scheme)
+	}
+	if !c.cfg.KeepPayloads && c.cfg.Dir == "" {
+		return fmt.Errorf("sigmadedupe: migration requires payload-carrying nodes (KeepPayloads or Dir)")
+	}
+	return nil
+}
 
 // AddNode implements Backend: a fresh in-process node joins the next
 // membership epoch and its ID is returned. addr must be empty on the
@@ -584,50 +483,83 @@ func (c *Cluster) AddNode(ctx context.Context, addr string) (int, error) {
 	if addr != "" {
 		return 0, fmt.Errorf("sigmadedupe: the simulator creates nodes in process; addr must be empty")
 	}
-	return c.inner.AddNode()
+	id, err := c.inner.AddNode()
+	if err != nil {
+		return 0, err
+	}
+	c.mgmt.memberOp.Lock()
+	defer c.mgmt.memberOp.Unlock()
+	if err := c.mgmt.addMemberLocked(ctx, id, ""); err != nil {
+		return 0, err
+	}
+	return id, nil
 }
 
-// RemoveNode implements Backend: every super-chunk on the node migrates
-// to a surviving member under the journaled commit protocol, the
-// membership epoch advances without the node, and the emptied node is
-// closed. Pre-existing backups restore byte-identically afterwards.
-// Quiesce backup sessions first.
+// RemoveNode implements Backend: the node leaves the routing epoch (new
+// backup items stop landing on it once in-flight ones finish), every
+// super-chunk on it migrates to a surviving member under the journaled
+// commit protocol, the director's membership drops it and the emptied
+// node is closed. Pre-existing backups restore byte-identically
+// afterwards. Quiesce backup sessions first.
 func (c *Cluster) RemoveNode(ctx context.Context, id int) (MigrationResult, error) {
-	res, err := c.inner.RemoveNode(ctx, id)
-	return toMigrationResult(res), err
+	if err := c.migrationGuard(); err != nil {
+		return MigrationResult{}, err
+	}
+	if err := c.defSess.retire(ctx, true); err != nil {
+		return MigrationResult{}, err
+	}
+	if err := c.inner.RemoveMember(ctx, id); err != nil {
+		return MigrationResult{}, err
+	}
+	res, err := c.mgmt.RemoveNode(ctx, id)
+	if err != nil {
+		return res, err
+	}
+	return res, c.inner.DropNode(id)
 }
 
 // Rebalance implements Backend: super-chunk segments move from members
 // above the cluster's mean usage onto underloaded rendezvous owners —
 // typically a node AddNode just joined.
 func (c *Cluster) Rebalance(ctx context.Context) (MigrationResult, error) {
-	res, err := c.inner.Rebalance(ctx)
-	return toMigrationResult(res), err
+	if err := c.migrationGuard(); err != nil {
+		return MigrationResult{}, err
+	}
+	return c.mgmt.Rebalance(ctx)
 }
 
-// KillNode implements Backend: the node leaves the membership without a
-// drain — the hard-crash path. Its data is gone; with
-// ClusterConfig.Replicas ≥ 2 every backup keeps restoring through
-// failover reads, and Repair restores R=2.
+// KillNode implements Backend: the node dies hard — it leaves the
+// membership without a drain and every connection to it fails from
+// here on. Its data is gone; with ClusterConfig.Replicas ≥ 2 every
+// flushed backup keeps restoring through failover reads, and Repair
+// restores R=2. An unflushed backup that kept a chunk only on the dead
+// node is withdrawn; every other backup stays.
 func (c *Cluster) KillNode(ctx context.Context, id int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return c.inner.KillNode(id)
+	if err := c.inner.KillNode(id); err != nil {
+		return err
+	}
+	if err := c.mgmt.KillNode(ctx, id); err != nil {
+		return err
+	}
+	return c.defSess.retire(ctx, false)
 }
 
-// Repair implements Backend: the simulator's anti-entropy pass —
-// promote replicas of dead primaries, re-replicate under-replicated
-// runs, reconcile reference counts against the recipe catalog. Quiesce
-// backups first.
+// Repair implements Backend: the anti-entropy pass — promote replicas
+// of dead primaries, re-replicate under-replicated runs, reconcile
+// reference counts against the recipe catalog. Quiesce backups first.
 func (c *Cluster) Repair(ctx context.Context) (RepairResult, error) {
-	res, err := c.inner.Repair(ctx)
-	return toRepairResult(res), err
+	if err := c.migrationGuard(); err != nil {
+		return RepairResult{}, err
+	}
+	return c.mgmt.Repair(ctx)
 }
 
 // FailoverReads counts restore reads served by a replica after the
 // primary's node was killed.
-func (c *Cluster) FailoverReads() int64 { return c.inner.FailoverReads() }
+func (c *Cluster) FailoverReads() int64 { return c.mgmt.BackupStats().FailoverReads }
 
 // toRepairResult converts the repair engine's summary to the public
 // shape (shared by both backends).
@@ -644,10 +576,12 @@ func toRepairResult(res migrate.RepairResult) RepairResult {
 // crash mid-migration: reference counts reconcile against the recipe
 // catalog, converging every backup to old-or-new placement with zero
 // leaked references. Quiesce backups first.
-func (c *Cluster) RecoverMigrations() error { return c.inner.RecoverMigrations() }
+func (c *Cluster) RecoverMigrations() error {
+	return c.mgmt.RecoverMigrations(context.TODO())
+}
 
 // setMigrateFault installs the migration crash-injection hook (tests).
-func (c *Cluster) setMigrateFault(fn migrate.Fault) { c.inner.SetMigrateFault(fn) }
+func (c *Cluster) setMigrateFault(fn migrate.Fault) { c.mgmt.setMigrateFault(fn) }
 
 // toMigrationResult converts the engine's migration summary to the
 // public shape (shared by both backends).
@@ -672,15 +606,11 @@ func (c *Cluster) Stats(ctx context.Context) (BackendStats, error) {
 	if err := ctx.Err(); err != nil {
 		return BackendStats{}, err
 	}
-	st := c.inner.Stats()
-	c.mu.Lock()
-	backups := len(c.fileIDs)
-	c.mu.Unlock()
 	return BackendStats{
-		LogicalBytes:  st.LogicalBytes,
+		LogicalBytes:  c.inner.Stats().LogicalBytes,
 		PhysicalBytes: c.inner.PhysicalBytes(),
 		DedupRatio:    c.inner.DedupRatio(),
-		Backups:       backups,
+		Backups:       len(c.dir.Files()),
 		Nodes:         c.inner.N(),
 		StorageSkew:   c.inner.Skew(),
 	}, nil
@@ -705,25 +635,28 @@ func (c *Cluster) SimStats() ClusterStats {
 }
 
 // clusterSession implements sessionBackend on the simulator: chunks are
-// fed to the stream one at a time and completed super-chunks route
-// synchronously, so peak buffered payload is the pending super-chunk
-// (≤ 2× the super-chunk target), never the stream size.
+// fed to the routing stream one at a time and completed super-chunks
+// route synchronously, so peak buffered payload is the pending
+// super-chunk (≤ 2× the super-chunk target), never the stream size.
+// Each finished item's placements become a director recipe through the
+// session's client — the same commit, supersede, seal and Flush-time
+// replication code a Remote session runs.
 type clusterSession struct {
 	c      *Cluster
 	stream *cluster.Stream
 	cfg    sessionConfig
 	st     SessionStats
-	// Tenant state, resolved at session admission: the tenant the
-	// session's backups belong to, the fingerprint salt of an isolated
-	// dedup domain, and the quota headroom captured at admission for the
-	// soft mid-stream check (-1 = unlimited). reportedStored tracks
-	// transferred bytes already accounted to the tenant registry so each
-	// commit reports a delta.
-	tenant         string
-	salt           [32]byte
-	salted         bool
-	headroom       int64
+
+	// mu serializes the session's backups with a membership change
+	// retiring its client from another goroutine.
+	mu sync.Mutex
+	// pin is the session's client over in-process connections, kept on
+	// the current membership epoch like a Remote default stream.
+	pin pinnedStream
+	// reportedStored tracks transferred bytes already accounted to the
+	// tenant, so each commit reports a delta.
 	reportedStored int64
+
 	// schedLeft/schedRelease are the session's current weighted-fair
 	// scheduler quantum: bytes still drawable from the outstanding grant
 	// and the function returning it (see addScheduled).
@@ -738,40 +671,8 @@ type clusterSession struct {
 	// once per chunk.
 	exactBatch []core.ChunkRef
 	// bufs recycles chunk payload buffers on the metadata-only path
-	// (payloads are dead the moment they are fingerprinted); sessions
-	// run single-goroutine, so a plain free list suffices.
-	bufs simBufPool
-}
-
-// simBufPool is the simulator session's chunk buffer free list, with the
-// same alloc/reuse counters the prototype client reports.
-type simBufPool struct {
-	free   [][]byte
-	bufCap int
-	allocs int64
-	reuses int64
-}
-
-func (p *simBufPool) alloc(n int) []byte {
-	if n <= p.bufCap {
-		if k := len(p.free); k > 0 {
-			b := p.free[k-1]
-			p.free = p.free[:k-1]
-			p.reuses++
-			return b[:n]
-		}
-	}
-	p.allocs++
-	if n > p.bufCap {
-		return make([]byte, n)
-	}
-	return make([]byte, n, p.bufCap)
-}
-
-func (p *simBufPool) release(b []byte) {
-	if cap(b) >= p.bufCap && len(p.free) < 64 {
-		p.free = append(p.free, b[:0])
-	}
+	// (payloads are dead the moment they are fingerprinted).
+	bufs *client.BufPool
 }
 
 // exactBatchMax bounds the deferred exact-tracker batch (~4K refs,
@@ -785,54 +686,63 @@ func (s *clusterSession) flushExact() {
 	}
 }
 
+// retire ends the session's client ahead of a membership change (see
+// pinnedStream.retire), after any backup in progress.
+func (s *clusterSession) retire(ctx context.Context, flush bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pin.retire(ctx, flush)
+}
+
 func (s *clusterSession) backup(ctx context.Context, name string, r io.Reader) error {
 	if err := tenant.ValidateBackupName(name); err != nil {
 		return &BackupError{Name: name, Stage: "chunk", Err: err}
 	}
-	if s.bufs.bufCap == 0 {
-		s.bufs.bufCap = chunker.MaxChunkSize(s.cfg.chunk.Method.internal(), s.cfg.chunk.Size)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cl, err := s.pin.client(ctx)
+	if err != nil {
+		return &BackupError{Name: name, Stage: "store", Err: err}
 	}
 	ck, err := chunker.New(s.cfg.chunk.Method.internal(), r, s.cfg.chunk.Size,
-		chunker.WithAllocator(s.bufs.alloc))
+		chunker.WithAllocator(s.bufs.Alloc))
 	if err != nil {
 		return err
 	}
 	keep := s.c.cfg.KeepPayloads || s.c.cfg.Dir != ""
-	id := s.c.reserveID()
+	headroom := cl.Headroom()
 	defer s.releaseSched()
-	s.stream.BeginItem(id)
+	s.stream.BeginItem(s.c.nextItem.Add(1))
 	s.st.Files++
-	var size int64
 	for {
 		chunk, err := ck.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return s.abort(id, &BackupError{Name: name, Stage: "chunk", Err: err})
+			return s.abort(ctx, cl, name, &BackupError{Name: name, Stage: "chunk", Err: err})
 		}
-		ref := core.ChunkRef{FP: s.saltFP(s.c.algorithm.Sum(chunk.Data)), Size: chunk.Len()}
+		ref := core.ChunkRef{FP: cl.Fingerprint(chunk.Data), Size: chunk.Len()}
 		if keep {
 			// The stream retains the payload until its super-chunk is
 			// routed; the buffer cannot be recycled here.
 			ref.Data = chunk.Data
 		} else {
 			// Metadata-only simulation: the payload is dead once hashed.
-			s.bufs.release(chunk.Data)
+			s.bufs.Release(chunk.Data)
 		}
 		s.exactBatch = append(s.exactBatch, core.ChunkRef{FP: ref.FP, Size: ref.Size})
 		if len(s.exactBatch) >= exactBatchMax {
 			s.flushExact()
 		}
 		s.st.LogicalBytes += int64(ref.Size)
-		size += int64(ref.Size)
 		// Soft mid-stream quota check against the headroom captured at
 		// admission: the stream is cut off long before the hard check at
 		// commit would refuse the whole backup.
-		if s.headroom >= 0 && s.st.LogicalBytes > s.headroom {
-			return s.abort(id, &BackupError{Name: name, Stage: "quota", Err: fmt.Errorf(
+		if headroom >= 0 && s.st.LogicalBytes > headroom {
+			return s.abort(ctx, cl, name, &BackupError{Name: name, Stage: "quota", Err: fmt.Errorf(
 				"tenant %s: stream exceeds quota headroom %d bytes: %w",
-				s.tenant, s.headroom, sderr.ErrQuotaExceeded)})
+				s.cfg.tenant, headroom, sderr.ErrQuotaExceeded)})
 		}
 		s.pending += int64(ref.Size)
 		if s.pending > s.st.PeakBufferedBytes {
@@ -840,38 +750,34 @@ func (s *clusterSession) backup(ctx context.Context, name string, r io.Reader) e
 		}
 		out, err := s.addScheduled(ctx, ref)
 		if err != nil {
-			return s.abort(id, &BackupError{Name: name, Stage: "store", Err: err})
+			return s.abort(ctx, cl, name, &BackupError{Name: name, Stage: "store", Err: err})
 		}
 		s.applyRouted(out)
 	}
 	out, err := s.stream.EndItem(ctx)
 	if err != nil {
-		return s.abort(id, &BackupError{Name: name, Stage: "store", Err: err})
+		return s.abort(ctx, cl, name, &BackupError{Name: name, Stage: "store", Err: err})
 	}
 	s.applyRouted(out)
 	s.flushExact()
-	if err := s.c.commitBackup(s.tenant, name, id, size); err != nil {
+	if committed, err := cl.CommitRecipe(ctx, name, s.stream.ItemPlacements()); err != nil {
+		if !committed {
+			// Nothing took the name (the hard quota check refused it, or
+			// the director failed), so the routed chunks' references are
+			// released.
+			return s.abort(ctx, cl, name, err)
+		}
 		return err
 	}
 	// Account the post-dedup transfer delta to the tenant's cumulative
 	// stored-bytes gauge (the simulator's "transfer" is its storage).
 	if d := s.st.TransferredBytes - s.reportedStored; d > 0 {
-		s.c.tenants.AccountTransfer(s.tenant, d, 0)
+		if err := s.c.dir.AccountTransfer(ctx, s.cfg.tenant, d, 0); err != nil {
+			return err
+		}
 		s.reportedStored = s.st.TransferredBytes
 	}
 	return nil
-}
-
-// saltFP folds the tenant's dedup-domain salt into a fingerprint (no-op
-// for shared-domain tenants), making an isolated tenant's chunk index,
-// similarity index and handprints disjoint from every other tenant's.
-func (s *clusterSession) saltFP(fp fingerprint.Fingerprint) fingerprint.Fingerprint {
-	if s.salted {
-		for i := 0; i < len(fp); i++ {
-			fp[i] ^= s.salt[i%len(s.salt)]
-		}
-	}
-	return fp
 }
 
 // schedQuantum is the byte batch one simulator session acquires from
@@ -888,7 +794,7 @@ const schedQuantum = 64 << 10
 // current quantum grant, re-acquiring when it runs dry, so concurrent
 // tenant sessions split the cluster's ingest capacity by weight.
 func (s *clusterSession) addScheduled(ctx context.Context, ref core.ChunkRef) (cluster.RouteOutcome, error) {
-	if s.c.sched != nil {
+	if sched := s.c.mgmt.sched; sched != nil {
 		need := int64(ref.Size)
 		if s.schedLeft < need {
 			s.releaseSched()
@@ -896,7 +802,7 @@ func (s *clusterSession) addScheduled(ctx context.Context, ref core.ChunkRef) (c
 			if need > quantum {
 				quantum = need
 			}
-			release, err := s.c.sched.Acquire(ctx, s.tenant, quantum)
+			release, err := sched.Acquire(ctx, s.cfg.tenant, quantum)
 			if err != nil {
 				return cluster.RouteOutcome{}, err
 			}
@@ -930,17 +836,20 @@ func (s *clusterSession) applyRouted(out cluster.RouteOutcome) {
 	s.st.TransferredBytes += out.StoredBytes
 }
 
-// abort discards the failed item's partial super-chunk and unwinds the
-// tracker, returning cause (annotated with any cleanup failure — a
-// failed cleanup strands references, which the caller must hear about);
-// the session stays usable for further backups. The presented bytes
-// stay accounted in the exact tracker, as they were in v1.
-func (s *clusterSession) abort(id uint64, cause error) error {
+// abort discards the failed item's partial super-chunk and releases the
+// references its routed super-chunks took, returning cause (annotated
+// with any cleanup failure — a failed cleanup strands references, which
+// the caller must hear about); the catalog is untouched and the session
+// stays usable for further backups. The presented bytes stay accounted
+// in the exact tracker, as they were in v1.
+func (s *clusterSession) abort(ctx context.Context, cl *client.Client, name string, cause error) error {
 	s.stream.AbortItem()
 	s.pending = 0
 	s.flushExact()
-	if cleanupErr := s.c.abortBackup(id); cleanupErr != nil {
-		return fmt.Errorf("%w (cleanup failed: %v)", cause, cleanupErr)
+	if placed := s.stream.ItemPlacements(); len(placed) > 0 {
+		if err := cl.ReleaseRefs(context.WithoutCancel(ctx), name, placed); err != nil {
+			return fmt.Errorf("%w (cleanup failed: %v)", cause, err)
+		}
 	}
 	return cause
 }
@@ -953,19 +862,23 @@ func (s *clusterSession) flush(ctx context.Context) error {
 		return err
 	}
 	s.pending = 0
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pin.flush(ctx)
 }
 
 func (s *clusterSession) stats() SessionStats {
 	st := s.st
-	st.ChunkBufAllocs = s.bufs.allocs
-	st.ChunkBufReuses = s.bufs.reuses
+	st.ChunkBufAllocs = s.bufs.Allocs()
+	st.ChunkBufReuses = s.bufs.Reuses()
 	return st
 }
 
 func (s *clusterSession) close() error {
 	s.stream.Close()
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pin.close()
 }
 
 // Server is a socket-served deduplication server node (TCP, or a Unix

@@ -40,63 +40,46 @@ func toTenantStatus(info tenant.Info, u tenant.Usage) TenantStatus {
 }
 
 // CreateTenant implements TenantAdmin on the simulator: the tenant is
-// registered in the in-memory control plane (idempotent; re-creating
-// with the same domain updates quota and weight, a different domain
-// conflicts).
+// registered in the simulator's in-memory director (idempotent;
+// re-creating with the same domain updates quota and weight, a
+// different domain conflicts).
 func (c *Cluster) CreateTenant(ctx context.Context, cfg TenantConfig) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.tenants.Create(toTenantInfo(cfg))
+	return c.mgmt.CreateTenant(ctx, cfg)
 }
 
 // Tenants implements TenantAdmin: every tenant with its usage, sorted by
 // name.
 func (c *Cluster) Tenants(ctx context.Context) ([]TenantStatus, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	infos := c.tenants.List()
-	out := make([]TenantStatus, len(infos))
-	for i, info := range infos {
-		out[i] = toTenantStatus(info, c.tenants.GetUsage(info.Name))
-	}
-	return out, nil
+	return c.mgmt.Tenants(ctx)
 }
 
 // SetTenantQuota implements TenantAdmin (0 = unlimited).
 func (c *Cluster) SetTenantQuota(ctx context.Context, tn string, quota int64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.tenants.SetQuota(tn, quota)
+	return c.mgmt.SetTenantQuota(ctx, tn, quota)
 }
 
 // SetTenantWeight implements TenantAdmin.
 func (c *Cluster) SetTenantWeight(ctx context.Context, tn string, weight int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.tenants.SetWeight(tn, weight)
+	return c.mgmt.SetTenantWeight(ctx, tn, weight)
 }
 
 // RestoreTenant implements TenantAdmin: stream one of the tenant's
 // backups to w. Quota never blocks a restore.
 func (c *Cluster) RestoreTenant(ctx context.Context, tn, name string, w io.Writer) error {
-	if tn == "" {
-		tn = tenant.Default
+	if err := c.recipesGuard("Restore"); err != nil {
+		return err
 	}
-	return c.restoreTenant(ctx, tn, name, w)
+	return c.mgmt.RestoreTenant(ctx, tn, name, w)
 }
 
 // DeleteTenant implements TenantAdmin: remove one of the tenant's
 // backups. Quota never blocks a delete — deleting is how an over-quota
 // tenant gets back under.
 func (c *Cluster) DeleteTenant(ctx context.Context, tn, name string) error {
-	if tn == "" {
-		tn = tenant.Default
+	if err := c.recipesGuard("Delete"); err != nil {
+		return err
 	}
-	return c.deleteTenant(ctx, tn, name)
+	return c.mgmt.DeleteTenant(ctx, tn, name)
 }
 
 // CreateTenant implements TenantAdmin on the prototype: the director
