@@ -333,16 +333,16 @@ func WithSuperChunkSize(n int64) SessionOption {
 	return func(c *sessionConfig) { c.superChunkSize = n }
 }
 
-// WithWorkers sizes the fingerprint worker pool (default GOMAXPROCS; 1
-// fingerprints serially).
+// WithWorkers sizes the fingerprint worker pool (default GOMAXPROCS; 1 is
+// a pool of one worker, which still runs beside the chunker).
 func WithWorkers(n int) SessionOption {
 	return func(c *sessionConfig) { c.workers = n }
 }
 
 // WithInflightSuperChunks bounds the window of super-chunks concurrently
-// in the route/query/store stage (default 4; 1 restores the fully serial
-// path). Together with the super-chunk size this caps the session's peak
-// buffered payload.
+// in the route/query/store stage (default 4; 1 is a window of one
+// super-chunk). Together with the super-chunk size this caps the session's
+// peak buffered payload.
 func WithInflightSuperChunks(n int) SessionOption {
 	return func(c *sessionConfig) { c.inflight = n }
 }
@@ -363,21 +363,18 @@ type SessionStats struct {
 	// (InflightSuperChunks × super-chunk size), never by stream size.
 	PeakBufferedBytes int64
 	// ChunkBufAllocs counts chunk payload buffers newly allocated from
-	// the heap. With buffer pooling active it plateaus at roughly the
-	// in-flight window's chunk count — the allocation cliff: live
+	// the heap. It plateaus at roughly the in-flight window's chunk count — the allocation cliff: live
 	// allocation is O(InflightSuperChunks), not O(stream).
 	ChunkBufAllocs int64
 	// ChunkBufReuses counts chunk buffers recycled through the pool; it
 	// grows with the stream while ChunkBufAllocs stays flat. Restore
-	// contributes too: the prototype's batched restore writes chunks
-	// straight out of recycled RPC receive frames (one reuse per chunk),
-	// while the per-chunk path copies each payload (one alloc per chunk).
+	// contributes too: the prototype's restore writes chunks straight out
+	// of recycled RPC receive frames (one reuse per chunk).
 	ChunkBufReuses int64
 	// RestoredBytes is payload bytes streamed back by Restore calls on
 	// this session's stream, and RestoreRPCs the read RPCs issued to
-	// serve them — one per chunk on the per-chunk path, one per node
-	// touched per window on the batched path. (Prototype only: the
-	// simulator restores in process.)
+	// serve them — one per node touched per restore window. (Prototype
+	// only: the simulator restores in process.)
 	RestoredBytes int64
 	RestoreRPCs   int64
 	// FailoverReads counts restore reads served by a chunk's replica

@@ -1,27 +1,21 @@
 // Command sigma-bench regenerates the tables and figures of the paper's
-// evaluation section and benchmarks the prototype ingest and storage
-// paths. With no arguments it lists the available experiments; "all" runs
-// every paper experiment; "ingest" runs the serial-vs-pipelined prototype
-// ingest comparison on loopback servers (add -disk for disk-backed
-// nodes); "nodeconc" measures multi-stream single-node store-path scaling
-// with the single store lock vs fingerprint-sharded locking; "recovery"
-// measures the durable stop/restart/restore cycle; "gc" measures backup
-// deletion, reference-counting GC and container compaction under
-// concurrent ingest.
+// evaluation section and runs the prototype's management benchmarks. With
+// no arguments it lists the available experiments; "all" runs every paper
+// experiment; "recovery" measures the durable stop/restart/restore cycle;
+// "gc" measures backup deletion, reference-counting GC and container
+// compaction under concurrent ingest; "rebalance", "kill", "tenants" and
+// "scaleout" measure elastic membership, R=2 failover and repair,
+// multi-tenant scheduling and the bid-summary routing sweep. Ingest and
+// restore throughput live in the perfbench harness.
 //
 // Usage:
 //
 //	sigma-bench [-scale 1.0] [-quick] [-json] all|fig1|...|table2|ram ...
-//	sigma-bench [-json] [-nodes 4] [-mb 32] [-workers N] [-inflight 4] \
-//	            [-latency 0] [-disk] [-workload vm] ingest
-//	sigma-bench [-json] [-mb 64] [-nodes 4] [-workload vm] -mode stream
-//	sigma-bench [-json] [-mb 64] [-nodes 4] -mode wire
-//	sigma-bench [-json] [-mb 64] [-streams 8] nodeconc
 //	sigma-bench [-json] [-mb 64] [-streams 4] recovery
 //	sigma-bench [-json] [-mb 32] [-streams 8] gc
 //	sigma-bench [-json] [-mb 32] [-nodes 3] -mode rebalance
 //	sigma-bench [-json] [-mb 32] [-nodes 3] -mode kill
-//	sigma-bench [-json] [-mb 32] [-nodes 4] [-generations 100] -mode age
+//	sigma-bench [-json] [-nodes 2] [-streams 64] -mode tenants
 //	sigma-bench [-json] [-scale 1.0] [-nodes N] [-sc KB] [-schemes csv] -mode scaleout
 //
 // With -json every result is emitted as one JSON object per line
@@ -38,23 +32,16 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"sigmadedupe"
-	"sigmadedupe/internal/client"
 	"sigmadedupe/internal/core"
-	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/experiments"
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/node"
-	"sigmadedupe/internal/pipeline"
-	"sigmadedupe/internal/rpc"
-	"sigmadedupe/internal/workload"
 )
 
 func main() {
@@ -69,27 +56,16 @@ func run(args []string) error {
 	scale := fs.Float64("scale", 1.0, "dataset scale multiplier (smaller = faster)")
 	quick := fs.Bool("quick", false, "trim sweeps to a few points")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON, one object per line")
-	nodes := fs.Int("nodes", 4, "ingest: number of loopback dedup servers")
-	mb := fs.Int("mb", 32, "ingest: logical MB backed up per run")
-	workers := fs.Int("workers", 0, "ingest: fingerprint workers for the pipelined run (0 = GOMAXPROCS)")
-	inflight := fs.Int("inflight", client.DefaultInflightSuperChunks,
-		"ingest: in-flight super-chunk window for the pipelined run")
-	latency := fs.Duration("latency", 0,
-		"ingest: injected per-request server latency (e.g. 2ms emulates a disk-bound remote node)")
-	workloadName := fs.String("workload", "",
-		"ingest/stream: drive with a generational dataset (linux|vm|mail|web) instead of unique random bytes")
-	seed := fs.Int64("seed", 7, "ingest/stream/wire: workload generator seed")
+	nodes := fs.Int("nodes", 4, "number of loopback dedup servers (scaleout: one node count)")
+	mb := fs.Int("mb", 32, "logical MB backed up per run")
+	workloadName := fs.String("workload", "", "scaleout: generational dataset (linux|vm|mail|web; default linux)")
+	seed := fs.Int64("seed", 7, "tenants/scaleout: workload generator seed")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile of the whole run to this file")
-	scKB := fs.Int64("sc", 0, "stream: super-chunk size in KB (0 = the bench's 256KB default)")
-	fpName := fs.String("fp", "", "stream: fingerprint hash (sha1|sha256|md5; default sha1)")
-	transport := fs.String("transport", "tcp", "stream: node transport (tcp|unix)")
-	chunkSpec := fs.String("chunk", "", "stream: chunking as method:avgbytes (fixed|rabin|tttd|fastcdc; default fixed:4096)")
-	disk := fs.Bool("disk", false, "ingest: give every server a durable spill directory (containers + manifest on disk)")
-	streamsFlag := fs.Int("streams", 8, "nodeconc/recovery: maximum concurrent backup streams")
-	generations := fs.Int("generations", 100, "age: generational backups of the churning image")
+	scKB := fs.Int64("sc", 0, "scaleout: one super-chunk size in KB (0 = the full grid)")
+	streamsFlag := fs.Int("streams", 8, "recovery/gc/tenants: concurrent backup streams")
 	schemes := fs.String("schemes", "", "scaleout: comma-separated routing schemes (default sigma,stateless,stateful,eb)")
-	mode := fs.String("mode", "", "run one experiment by name (alias for the positional argument, e.g. -mode stream)")
+	mode := fs.String("mode", "", "run one experiment by name (alias for the positional argument, e.g. -mode kill)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -98,17 +74,12 @@ func run(args []string) error {
 		names = append(names, *mode)
 	}
 	if len(names) == 0 {
-		fmt.Printf("available experiments: %s, ingest, nodeconc, recovery, gc, stream, wire, rebalance, kill, age, scaleout, all\n", strings.Join(experiments.Names(), ", "))
+		fmt.Printf("available experiments: %s, recovery, gc, rebalance, kill, tenants, scaleout, all\n", strings.Join(experiments.Names(), ", "))
 		return nil
 	}
-	// The wire bench's headline number is defined at 64MB (the figure the
-	// codec work is tracked against); honor -mb only when explicitly set.
-	mbExplicit, streamsExplicit := false, false
-	nodesExplicit, scExplicit := false, false
+	streamsExplicit, nodesExplicit, scExplicit := false, false, false
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "mb":
-			mbExplicit = true
 		case "streams":
 			streamsExplicit = true
 		case "nodes":
@@ -117,10 +88,6 @@ func run(args []string) error {
 			scExplicit = true
 		}
 	})
-	wireMB := *mb
-	if !mbExplicit {
-		wireMB = 64
-	}
 	// The tenants bench is about contention: default to hundreds of
 	// concurrent sessions unless -streams was given explicitly.
 	tenantSessions := *streamsFlag
@@ -161,33 +128,6 @@ func run(args []string) error {
 	}
 	for _, name := range names {
 		switch name {
-		case "ingest":
-			rep, err := runIngest(ingestConfig{
-				Nodes:    *nodes,
-				DataMB:   *mb,
-				Workers:  *workers,
-				Inflight: *inflight,
-				Latency:  *latency,
-				Disk:     *disk,
-				Workload: *workloadName,
-				Seed:     *seed,
-			})
-			if err != nil {
-				return fmt.Errorf("ingest: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "nodeconc":
-			rep, err := runNodeConcurrency(*mb, *streamsFlag)
-			if err != nil {
-				return fmt.Errorf("nodeconc: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
 		case "recovery":
 			rep, err := runRecovery(*mb, *streamsFlag)
 			if err != nil {
@@ -201,42 +141,6 @@ func run(args []string) error {
 			rep, err := runGC(*mb, *streamsFlag)
 			if err != nil {
 				return fmt.Errorf("gc: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "stream":
-			var fp sigmadedupe.FingerprintAlgorithm
-			switch *fpName {
-			case "", "sha1":
-			case "sha256":
-				fp = sigmadedupe.FingerprintSHA256
-			case "md5":
-				fp = sigmadedupe.FingerprintMD5
-			default:
-				return fmt.Errorf("stream: unknown fingerprint %q", *fpName)
-			}
-			if *transport != "tcp" && *transport != "unix" {
-				return fmt.Errorf("stream: unknown transport %q", *transport)
-			}
-			spec, err := parseChunkSpec(*chunkSpec)
-			if err != nil {
-				return fmt.Errorf("stream: %w", err)
-			}
-			rep, err := runStreamWith(*mb, *nodes, *inflight, *workloadName, *seed,
-				streamOptions{superChunkSize: *scKB << 10, fingerprint: fp, unixSockets: *transport == "unix", chunk: spec})
-			if err != nil {
-				return fmt.Errorf("stream: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "wire":
-			rep, err := runWire(wireMB, *nodes, *inflight, *seed)
-			if err != nil {
-				return fmt.Errorf("wire: %w", err)
 			}
 			if err := emit(rep); err != nil {
 				return err
@@ -298,20 +202,6 @@ func run(args []string) error {
 				return err
 			}
 			continue
-		case "age":
-			rep, err := runAge(ageConfig{
-				Nodes:       *nodes,
-				ImageMB:     *mb,
-				Generations: *generations,
-				Seed:        *seed,
-			})
-			if err != nil {
-				return fmt.Errorf("age: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
 		}
 		start := time.Now()
 		tab, err := experiments.Run(name, experiments.Options{Scale: *scale, Quick: *quick})
@@ -347,396 +237,6 @@ type tableReport struct {
 	Rows       [][]string `json:"rows"`
 	Notes      []string   `json:"notes,omitempty"`
 	ElapsedMS  int64      `json:"elapsed_ms"`
-}
-
-type ingestConfig struct {
-	Nodes    int           `json:"nodes"`
-	DataMB   int           `json:"data_mb"`
-	Workers  int           `json:"workers"`
-	Inflight int           `json:"inflight_super_chunks"`
-	Disk     bool          `json:"disk"`
-	Workload string        `json:"workload,omitempty"`
-	Seed     int64         `json:"-"`
-	Latency  time.Duration `json:"-"`
-}
-
-// benchFile is one named backup input of an ingest run.
-type benchFile struct {
-	name string
-	data []byte
-}
-
-// workloadFiles materializes a generational dataset scaled to about
-// targetMB logical MB. Scaling goes through the generator's own scale
-// knob — never by truncating the item stream, which would drop the later
-// backup generations that carry all the duplicate (dedupable) data.
-func workloadFiles(name string, targetMB int, seed int64) ([]benchFile, error) {
-	items, err := workloadItems(name, targetMB, seed)
-	if err != nil {
-		return nil, err
-	}
-	files := make([]benchFile, len(items))
-	for i, it := range items {
-		files[i] = benchFile{name: "/" + name + "/" + it.Name, data: workload.Materialize(it)}
-	}
-	return files, nil
-}
-
-// workloadItems generates `name` at whatever generator scale lands its
-// total logical size near targetMB.
-func workloadItems(name string, targetMB int, seed int64) ([]workload.Item, error) {
-	g, err := workload.ByName(name, 1, seed)
-	if err != nil {
-		return nil, err
-	}
-	items, err := workload.Collect(g)
-	if err != nil {
-		return nil, err
-	}
-	total := workload.TotalBytes(items)
-	target := int64(targetMB) << 20
-	if total <= 0 || target <= 0 {
-		return items, nil
-	}
-	scale := float64(target) / float64(total)
-	if scale > 0.98 && scale < 1.02 {
-		return items, nil
-	}
-	g, err = workload.ByName(name, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	return workload.Collect(g)
-}
-
-// ingestRun is one measured configuration of the prototype ingest path.
-type ingestRun struct {
-	Mode            string  `json:"mode"`
-	Workers         int     `json:"workers"`
-	Inflight        int     `json:"inflight_super_chunks"`
-	Seconds         float64 `json:"seconds"`
-	ThroughputMBps  float64 `json:"throughput_mb_s"`
-	Msgs            int64   `json:"msgs"`
-	BandwidthSaving float64 `json:"bandwidth_saving"`
-	DedupRatio      float64 `json:"dedup_ratio"`
-}
-
-// ingestReport compares the serial ingest path against the pipeline.
-type ingestReport struct {
-	Experiment string       `json:"experiment"`
-	Config     ingestConfig `json:"config"`
-	LatencyMS  float64      `json:"latency_ms"`
-	Serial     ingestRun    `json:"serial"`
-	Pipelined  ingestRun    `json:"pipelined"`
-	Speedup    float64      `json:"speedup"`
-}
-
-func (r *ingestReport) print(w *os.File) {
-	mode := "RAM"
-	if r.Config.Disk {
-		mode = "disk-backed"
-	}
-	fmt.Fprintf(w, "== ingest: prototype backup path, %d %s nodes, %d MB, %.2fms server latency\n",
-		r.Config.Nodes, mode, r.Config.DataMB, r.LatencyMS)
-	fmt.Fprintf(w, "  %-10s %8s %8s %12s %10s %8s\n", "mode", "workers", "inflight", "MB/s", "msgs", "dedup")
-	for _, run := range []ingestRun{r.Serial, r.Pipelined} {
-		fmt.Fprintf(w, "  %-10s %8d %8d %12.1f %10d %8.2f\n",
-			run.Mode, run.Workers, run.Inflight, run.ThroughputMBps, run.Msgs, run.DedupRatio)
-	}
-	fmt.Fprintf(w, "  speedup: %.2fx\n\n", r.Speedup)
-}
-
-// runIngest backs the same synthetic dataset up twice against fresh
-// loopback clusters: once with the serial client (1 fingerprint worker, 1
-// super-chunk in flight — the pre-pipeline behavior) and once with the
-// concurrent pipeline, and reports both throughputs.
-func runIngest(cfg ingestConfig) (*ingestReport, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 4
-	}
-	if cfg.DataMB <= 0 {
-		cfg.DataMB = 32
-	}
-	if cfg.Inflight <= 0 {
-		cfg.Inflight = client.DefaultInflightSuperChunks
-	}
-	var contents []benchFile
-	if cfg.Workload != "" {
-		// A generational dataset: later backup generations repeat most of
-		// the earlier ones, so dedup_ratio and bandwidth_saving report the
-		// real source-dedup behavior instead of the unique-data floor.
-		var err error
-		if contents, err = workloadFiles(cfg.Workload, cfg.DataMB, cfg.Seed); err != nil {
-			return nil, err
-		}
-	} else {
-		// Four files of fresh pseudo-random content: unique data, so every
-		// chunk payload crosses the wire — the heaviest ingest path.
-		const files = 4
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < files; i++ {
-			data := make([]byte, cfg.DataMB<<20/files)
-			rng.Read(data)
-			contents = append(contents, benchFile{name: fmt.Sprintf("/bench/file%d", i), data: data})
-		}
-	}
-
-	serial, err := measureIngest(cfg, contents, 1, 1)
-	if err != nil {
-		return nil, err
-	}
-	serial.Mode = "serial"
-	pipelined, err := measureIngest(cfg, contents, cfg.Workers, cfg.Inflight)
-	if err != nil {
-		return nil, err
-	}
-	pipelined.Mode = "pipelined"
-
-	rep := &ingestReport{
-		Experiment: "ingest",
-		Config:     cfg,
-		LatencyMS:  float64(cfg.Latency) / float64(time.Millisecond),
-		Serial:     *serial,
-		Pipelined:  *pipelined,
-	}
-	if serial.ThroughputMBps > 0 {
-		rep.Speedup = pipelined.ThroughputMBps / serial.ThroughputMBps
-	}
-	return rep, nil
-}
-
-func measureIngest(cfg ingestConfig, contents []benchFile, workers, inflight int) (*ingestRun, error) {
-	servers := make([]*rpc.Server, cfg.Nodes)
-	addrs := make([]string, cfg.Nodes)
-	defer func() {
-		for _, s := range servers {
-			if s != nil {
-				s.Close()
-				s.Node().Close() // release durable manifests in -disk mode
-			}
-		}
-	}()
-	var diskBase string
-	if cfg.Disk {
-		var err error
-		if diskBase, err = os.MkdirTemp("", "sigma-bench-ingest-"); err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(diskBase)
-	}
-	for i := range servers {
-		ncfg := node.Config{ID: i, KeepPayloads: true}
-		if cfg.Disk {
-			ncfg.Dir = filepath.Join(diskBase, fmt.Sprintf("node%d", i))
-		}
-		nd, err := node.New(ncfg)
-		if err != nil {
-			return nil, err
-		}
-		var opts []rpc.ServerOption
-		if cfg.Latency > 0 {
-			opts = append(opts, rpc.WithHandlerDelay(cfg.Latency))
-		}
-		srv, err := rpc.NewServer(nd, "127.0.0.1:0", opts...)
-		if err != nil {
-			return nil, err
-		}
-		servers[i] = srv
-		addrs[i] = srv.Addr()
-	}
-	dir := director.New()
-	conns, err := client.DialAll(context.Background(), addrs)
-	if err != nil {
-		return nil, err
-	}
-	c, err := client.New(context.Background(), client.Config{
-		Name:                "bench",
-		SuperChunkSize:      256 << 10,
-		Pipeline:            pipeline.Config{Workers: workers},
-		InflightSuperChunks: inflight,
-	}, dir, conns)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-
-	start := time.Now()
-	var logical int64
-	for _, f := range contents {
-		logical += int64(len(f.data))
-		if err := c.BackupFile(context.Background(), f.name, bytes.NewReader(f.data)); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.Flush(context.Background()); err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-
-	var nodeLogical, nodePhysical int64
-	for _, s := range servers {
-		st := s.Node().Stats()
-		nodeLogical += st.LogicalBytes
-		nodePhysical += st.PhysicalBytes
-	}
-	run := &ingestRun{
-		Workers:         c.Config().Pipeline.Workers,
-		Inflight:        c.Config().InflightSuperChunks,
-		Seconds:         elapsed.Seconds(),
-		ThroughputMBps:  float64(logical) / (1 << 20) / elapsed.Seconds(),
-		Msgs:            c.RPCMessages(),
-		BandwidthSaving: c.Stats().BandwidthSaving(),
-	}
-	if nodePhysical > 0 {
-		run.DedupRatio = float64(nodeLogical) / float64(nodePhysical)
-	}
-	return run, nil
-}
-
-// nodeConcRun is one measured (shards × streams) store-path configuration.
-type nodeConcRun struct {
-	Shards         int     `json:"shards"`
-	Streams        int     `json:"streams"`
-	Seconds        float64 `json:"seconds"`
-	ThroughputMBps float64 `json:"throughput_mb_s"`
-}
-
-// nodeConcReport records multi-stream single-node store-path scaling:
-// the single store lock (shards=1, the pre-engine behavior) against
-// fingerprint-sharded locking, at growing stream counts.
-type nodeConcReport struct {
-	Experiment string `json:"experiment"`
-	DataMB     int    `json:"data_mb"`
-	ChunkKB    int    `json:"chunk_kb"`
-	MaxStreams int    `json:"max_streams"`
-	// GOMAXPROCS interprets the scaling numbers: on a single-core host
-	// streams cannot scale wall-clock throughput, so serial and sharded
-	// read as parity; multicore hosts show the sharded speedup.
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Runs       []nodeConcRun `json:"runs"`
-	// Speedup is sharded vs single-lock throughput at the highest stream
-	// count.
-	Speedup float64 `json:"speedup_at_max_streams"`
-}
-
-func (r *nodeConcReport) print(w *os.File) {
-	fmt.Fprintf(w, "== nodeconc: single-node store path, %d MB unique data, %dKB chunks, GOMAXPROCS=%d\n",
-		r.DataMB, r.ChunkKB, r.GOMAXPROCS)
-	fmt.Fprintf(w, "  %8s %8s %10s %12s\n", "shards", "streams", "seconds", "MB/s")
-	for _, run := range r.Runs {
-		fmt.Fprintf(w, "  %8d %8d %10.3f %12.1f\n", run.Shards, run.Streams, run.Seconds, run.ThroughputMBps)
-	}
-	fmt.Fprintf(w, "  sharded vs single-lock at %d streams: %.2fx\n\n", r.MaxStreams, r.Speedup)
-}
-
-// runNodeConcurrency stores the same pre-fingerprinted unique dataset
-// into fresh single nodes, varying the stream count and the store-path
-// lock sharding. Chunks carry no payload (metadata-only store), so the
-// measurement isolates the lookup-or-append path the old node-wide store
-// mutex serialized.
-func runNodeConcurrency(mb, maxStreams int) (*nodeConcReport, error) {
-	if mb <= 0 {
-		mb = 64
-	}
-	if maxStreams <= 0 {
-		maxStreams = 8
-	}
-	const chunkSize = 8 << 10
-	const scChunks = 128 // 1MB super-chunks
-	nChunks := mb << 20 / chunkSize
-
-	// Pre-generate unique random fingerprints and memoize handprints so
-	// every measured run does identical non-store work.
-	rng := rand.New(rand.NewSource(21))
-	scs := make([]*core.SuperChunk, 0, nChunks/scChunks)
-	for len(scs)*scChunks < nChunks {
-		sc := &core.SuperChunk{}
-		for i := 0; i < scChunks; i++ {
-			var fp fingerprint.Fingerprint
-			rng.Read(fp[:])
-			sc.Chunks = append(sc.Chunks, core.ChunkRef{FP: fp, Size: chunkSize})
-		}
-		sc.Handprint(core.DefaultHandprintSize)
-		scs = append(scs, sc)
-	}
-
-	measure := func(shards, streams int) (nodeConcRun, error) {
-		nd, err := node.New(node.Config{StoreShards: shards})
-		if err != nil {
-			return nodeConcRun{}, err
-		}
-		run := nodeConcRun{Shards: nd.Config().StoreShards, Streams: streams}
-		var wg sync.WaitGroup
-		errs := make(chan error, streams)
-		start := time.Now()
-		for s := 0; s < streams; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				stream := fmt.Sprintf("stream%d", s)
-				for i := s; i < len(scs); i += streams {
-					if _, err := nd.StoreSuperChunk(stream, scs[i]); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(s)
-		}
-		wg.Wait()
-		if err := nd.Flush(); err != nil {
-			return run, err
-		}
-		run.Seconds = time.Since(start).Seconds()
-		select {
-		case err := <-errs:
-			return run, err
-		default:
-		}
-		logical := float64(len(scs)*scChunks*chunkSize) / (1 << 20)
-		run.ThroughputMBps = logical / run.Seconds
-		return run, nil
-	}
-
-	// Cold-start warmup so the first measured configuration is not
-	// charged for page faults and allocator growth.
-	if _, err := measure(0, 1); err != nil {
-		return nil, err
-	}
-	const trials = 3
-	rep := &nodeConcReport{
-		Experiment: "node_concurrency",
-		DataMB:     mb,
-		ChunkKB:    chunkSize >> 10,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	var serialAtMax, shardedAtMax float64
-	for _, shards := range []int{1, 0} { // 0 = engine default sharding
-		for streams := 1; streams <= maxStreams; streams *= 2 {
-			var run nodeConcRun
-			for tr := 0; tr < trials; tr++ {
-				r, err := measure(shards, streams)
-				if err != nil {
-					return nil, err
-				}
-				if tr == 0 || r.Seconds < run.Seconds {
-					run = r
-				}
-			}
-			rep.Runs = append(rep.Runs, run)
-			// The last measured stream count is the comparison point, so a
-			// non-power-of-two -streams still yields a real speedup figure.
-			rep.MaxStreams = run.Streams
-			if shards == 1 {
-				serialAtMax = run.ThroughputMBps
-			} else {
-				shardedAtMax = run.ThroughputMBps
-			}
-		}
-	}
-	if serialAtMax > 0 {
-		rep.Speedup = shardedAtMax / serialAtMax
-	}
-	return rep, nil
 }
 
 // recoveryReport records one durable ingest → shutdown → recover cycle.
@@ -1112,46 +612,6 @@ func runRecovery(mb, streams int) (*recoveryReport, error) {
 	return rep, nil
 }
 
-// streamReport records one bounded-memory streaming-session smoke: a
-// single large unique stream backed up through the public v2 Session
-// API, with the counter-instrumented peak buffered payload against the
-// in-flight window bound. Compare throughput_mb_s with the pipelined
-// run of BENCH_ingest.json (same super-chunk size and node count): the
-// streaming session is the same pipeline behind the new surface, so it
-// must hold equal-or-better throughput while bounding memory.
-type streamReport struct {
-	Experiment        string  `json:"experiment"`
-	DataMB            int     `json:"data_mb"`
-	Nodes             int     `json:"nodes"`
-	Workload          string  `json:"workload,omitempty"`
-	Transport         string  `json:"transport"`
-	Fingerprint       string  `json:"fingerprint"`
-	SuperChunkKB      int64   `json:"super_chunk_kb"`
-	Inflight          int     `json:"inflight_super_chunks"`
-	Seconds           float64 `json:"seconds"`
-	ThroughputMBps    float64 `json:"throughput_mb_s"`
-	DedupRatio        float64 `json:"dedup_ratio"`
-	BandwidthSaving   float64 `json:"bandwidth_saving"`
-	PeakBufferedBytes int64   `json:"peak_buffered_bytes"`
-	WindowBoundBytes  int64   `json:"window_bound_bytes"`
-	// Bounded is true when peak buffered payload stayed within 2× the
-	// window bound — the acceptance criterion for O(window) memory.
-	Bounded bool `json:"bounded"`
-}
-
-func (r *streamReport) print(w *os.File) {
-	source := "unique stream"
-	if r.Workload != "" {
-		source = r.Workload + " workload"
-	}
-	fmt.Fprintf(w, "== stream: v2 session, %d MB %s, %d nodes, %dKB super-chunks, window %d\n",
-		r.DataMB, source, r.Nodes, r.SuperChunkKB, r.Inflight)
-	fmt.Fprintf(w, "  throughput: %.1f MB/s in %.3fs  dedup %.2f  bandwidth saving %.2f\n",
-		r.ThroughputMBps, r.Seconds, r.DedupRatio, r.BandwidthSaving)
-	fmt.Fprintf(w, "  peak buffered payload: %.2f MB (window bound %.2f MB, bounded=%v)\n\n",
-		float64(r.PeakBufferedBytes)/(1<<20), float64(r.WindowBoundBytes)/(1<<20), r.Bounded)
-}
-
 // streamSource yields exactly n pseudo-random bytes — a stream, not a
 // buffer: the bench proves the session never materializes it. Content is
 // a fixed random template with a counter stamped into every 4KB block,
@@ -1485,413 +945,4 @@ func runKill(mb, nNodes int) (*killReport, error) {
 		return nil, fmt.Errorf("post-repair restore: %w", err)
 	}
 	return rep, nil
-}
-
-// itemReader streams one workload item's blocks without materializing
-// the item, reusing a single block buffer.
-type itemReader struct {
-	blocks []uint64
-	buf    [workload.BlockSize]byte
-	off    int // valid bytes already consumed from buf; BlockSize = empty
-}
-
-func newItemReader(it workload.Item) *itemReader {
-	return &itemReader{blocks: it.Blocks, off: workload.BlockSize}
-}
-
-func (r *itemReader) Read(p []byte) (int, error) {
-	if r.off >= workload.BlockSize {
-		if len(r.blocks) == 0 {
-			return 0, io.EOF
-		}
-		workload.FillBlock(r.blocks[0], r.buf[:])
-		r.blocks = r.blocks[1:]
-		r.off = 0
-	}
-	n := copy(p, r.buf[r.off:])
-	r.off += n
-	return n, nil
-}
-
-// runStream backs mb MB up through the public streaming Session API
-// against nNodes loopback servers and reports throughput plus the
-// instrumented peak buffered payload. With workloadName empty the input
-// is one unique pseudo-random stream (the heaviest wire path); with a
-// generational dataset the report's dedup_ratio and bandwidth_saving
-// carry the real source-dedup behavior.
-func runStream(mb, nNodes, inflight int, workloadName string, seed int64) (*streamReport, error) {
-	return runStreamWith(mb, nNodes, inflight, workloadName, seed, streamOptions{})
-}
-
-// streamOptions are the wire bench's knobs over the base stream bench.
-type streamOptions struct {
-	superChunkSize int64                            // 0 = the 256KB BENCH_streaming granularity
-	fingerprint    sigmadedupe.FingerprintAlgorithm // 0 = SHA-1
-	unixSockets    bool                             // serve nodes over Unix domain sockets instead of loopback TCP
-	chunk          sigmadedupe.ChunkSpec            // zero = the session default (fixed 4KB)
-}
-
-// parseChunkSpec parses "method:avgbytes" (e.g. "fastcdc:8192"). Empty
-// input selects the session default.
-func parseChunkSpec(s string) (sigmadedupe.ChunkSpec, error) {
-	if s == "" {
-		return sigmadedupe.ChunkSpec{}, nil
-	}
-	method, sizeStr, ok := strings.Cut(s, ":")
-	var spec sigmadedupe.ChunkSpec
-	switch method {
-	case "fixed":
-		spec.Method = sigmadedupe.ChunkFixed
-	case "rabin", "cdc":
-		spec.Method = sigmadedupe.ChunkCDC
-	case "tttd":
-		spec.Method = sigmadedupe.ChunkTTTD
-	case "fastcdc":
-		spec.Method = sigmadedupe.ChunkFastCDC
-	default:
-		return spec, fmt.Errorf("unknown chunk method %q", method)
-	}
-	if ok {
-		n, err := strconv.Atoi(sizeStr)
-		if err != nil || n <= 0 {
-			return spec, fmt.Errorf("bad chunk size %q", sizeStr)
-		}
-		spec.Size = n
-	}
-	return spec, nil
-}
-
-func runStreamWith(mb, nNodes, inflight int, workloadName string, seed int64, opts streamOptions) (*streamReport, error) {
-	if mb <= 0 {
-		mb = 64
-	}
-	if nNodes <= 0 {
-		nNodes = 4
-	}
-	if inflight <= 0 {
-		inflight = client.DefaultInflightSuperChunks
-	}
-	scSize := opts.superChunkSize
-	if scSize <= 0 {
-		scSize = 256 << 10 // match the ingest bench's granularity
-	}
-	var sockDir string
-	if opts.unixSockets {
-		dir, err := os.MkdirTemp("", "sigma-bench-uds")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		sockDir = dir
-	}
-	addrs := make([]string, nNodes)
-	for i := range addrs {
-		scfg := sigmadedupe.ServerConfig{ID: i}
-		if opts.unixSockets {
-			scfg.Addr = fmt.Sprintf("unix:%s/n%d.sock", sockDir, i)
-		}
-		srv, err := sigmadedupe.StartServer(scfg)
-		if err != nil {
-			return nil, err
-		}
-		defer srv.Close()
-		addrs[i] = srv.Addr()
-	}
-	ctx := context.Background()
-	be, err := sigmadedupe.NewRemote(ctx, sigmadedupe.RemoteConfig{
-		Name:        "stream-bench",
-		Director:    sigmadedupe.NewDirector(),
-		Nodes:       addrs,
-		Fingerprint: opts.fingerprint,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer be.Close()
-	sessOpts := []sigmadedupe.SessionOption{
-		sigmadedupe.WithSuperChunkSize(scSize),
-		sigmadedupe.WithInflightSuperChunks(inflight),
-	}
-	if opts.chunk.Method != 0 {
-		sessOpts = append(sessOpts, sigmadedupe.WithChunkSpec(opts.chunk))
-	}
-	sess, err := be.NewSession(ctx, sessOpts...)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-
-	var items []workload.Item
-	if workloadName != "" {
-		if items, err = workloadItems(workloadName, mb, seed); err != nil {
-			return nil, err
-		}
-	}
-	var size int64
-	start := time.Now()
-	if workloadName == "" {
-		size = int64(mb) << 20
-		if err := sess.Backup(ctx, "/stream/big", &streamSource{rng: rand.New(rand.NewSource(11)), left: int(size)}); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, it := range items {
-			size += it.Size()
-			if err := sess.Backup(ctx, "/"+workloadName+"/"+it.Name, newItemReader(it)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := sess.Flush(ctx); err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-
-	st := sess.Stats()
-	bst, err := be.Stats(ctx)
-	if err != nil {
-		return nil, err
-	}
-	windowBound := int64(inflight) * 2 * scSize
-	transport := "tcp"
-	if opts.unixSockets {
-		transport = "unix"
-	}
-	return &streamReport{
-		Experiment:        "streaming",
-		DataMB:            int(size >> 20),
-		Nodes:             nNodes,
-		Workload:          workloadName,
-		Transport:         transport,
-		Fingerprint:       opts.fingerprint.String(),
-		SuperChunkKB:      scSize >> 10,
-		Inflight:          inflight,
-		Seconds:           elapsed.Seconds(),
-		ThroughputMBps:    float64(size) / (1 << 20) / elapsed.Seconds(),
-		DedupRatio:        bst.DedupRatio,
-		BandwidthSaving:   st.BandwidthSaving(),
-		PeakBufferedBytes: st.PeakBufferedBytes,
-		WindowBoundBytes:  windowBound,
-		Bounded:           st.PeakBufferedBytes <= 2*windowBound,
-	}, nil
-}
-
-// wireAllocAB is a pooling-off-vs-on allocation A/B of the same ingest:
-// one unique stream through the prototype client against loopback
-// servers, heap deltas via runtime.ReadMemStats. The pooled run must
-// show the allocation cliff: MallocsPerMB collapses and ChunkBufAllocs
-// plateaus near the in-flight window while ChunkBufReuses carries the
-// stream.
-type wireAllocAB struct {
-	DataMB int `json:"data_mb"`
-	// Heap deltas across the whole process (client + in-process servers).
-	MallocsUnpooled    uint64  `json:"mallocs_unpooled"`
-	MallocsPooled      uint64  `json:"mallocs_pooled"`
-	AllocMBUnpooled    float64 `json:"alloc_mb_unpooled"`
-	AllocMBPooled      float64 `json:"alloc_mb_pooled"`
-	MallocReduction    float64 `json:"malloc_reduction"`
-	AllocMBReduction   float64 `json:"alloc_mb_reduction"`
-	ChunkBufAllocs     int64   `json:"chunk_buf_allocs"`
-	ChunkBufReuses     int64   `json:"chunk_buf_reuses"`
-	ThroughputUnpooled float64 `json:"throughput_mb_s_unpooled"`
-	ThroughputPooled   float64 `json:"throughput_mb_s_pooled"`
-}
-
-// wireWorkloadRun is the wire report's generational-dataset leg.
-type wireWorkloadRun struct {
-	Name            string  `json:"name"`
-	DataMB          int     `json:"data_mb"`
-	ThroughputMBps  float64 `json:"throughput_mb_s"`
-	DedupRatio      float64 `json:"dedup_ratio"`
-	BandwidthSaving float64 `json:"bandwidth_saving"`
-}
-
-// wireReport is the binary-codec headline benchmark: the same 4-node
-// unique-stream configuration BENCH_streaming.json tracks (so the two
-// top-level throughput_mb_s values compare apples-to-apples), plus a
-// workload leg with real dedup numbers and the pooling alloc A/B.
-type wireReport struct {
-	Experiment     string          `json:"experiment"`
-	DataMB         int             `json:"data_mb"`
-	Nodes          int             `json:"nodes"`
-	Inflight       int             `json:"inflight_super_chunks"`
-	Transport      string          `json:"transport"`
-	Runs           int             `json:"runs"`
-	Seconds        float64         `json:"seconds"`
-	ThroughputMBps float64         `json:"throughput_mb_s"`
-	TCPLoopbackMBs float64         `json:"tcp_loopback_mb_s"`
-	Bounded        bool            `json:"bounded"`
-	Workload       wireWorkloadRun `json:"workload"`
-	Alloc          wireAllocAB     `json:"alloc_ab"`
-}
-
-func (r *wireReport) print(w *os.File) {
-	fmt.Fprintf(w, "== wire: binary codec, %d MB unique stream, %d nodes, window %d, %s transport (best of %d)\n",
-		r.DataMB, r.Nodes, r.Inflight, r.Transport, r.Runs)
-	fmt.Fprintf(w, "  throughput: %.1f MB/s in %.3fs (bounded=%v); tcp loopback %.1f MB/s\n",
-		r.ThroughputMBps, r.Seconds, r.Bounded, r.TCPLoopbackMBs)
-	fmt.Fprintf(w, "  workload %s (%d MB): %.1f MB/s, dedup %.2f, bandwidth saving %.2f\n",
-		r.Workload.Name, r.Workload.DataMB, r.Workload.ThroughputMBps, r.Workload.DedupRatio, r.Workload.BandwidthSaving)
-	fmt.Fprintf(w, "  alloc A/B (%d MB): mallocs %d -> %d (%.1fx), heap %.1f MB -> %.1f MB (%.1fx)\n",
-		r.Alloc.DataMB, r.Alloc.MallocsUnpooled, r.Alloc.MallocsPooled, r.Alloc.MallocReduction,
-		r.Alloc.AllocMBUnpooled, r.Alloc.AllocMBPooled, r.Alloc.AllocMBReduction)
-	fmt.Fprintf(w, "  pool: %d fresh chunk buffers, %d reuses\n\n", r.Alloc.ChunkBufAllocs, r.Alloc.ChunkBufReuses)
-}
-
-// measureAlloc ingests one mb-MB unique stream through the prototype
-// client (pooling on or off) and reports process heap deltas plus pool
-// counters and throughput.
-func measureAlloc(mb, nNodes int, disablePool bool) (mallocs uint64, allocMB float64, st client.Stats, mbps float64, err error) {
-	servers := make([]*rpc.Server, 0, nNodes)
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-			s.Node().Close()
-		}
-	}()
-	addrs := make([]string, nNodes)
-	for i := range addrs {
-		nd, nerr := node.New(node.Config{ID: i, KeepPayloads: true})
-		if nerr != nil {
-			return 0, 0, st, 0, nerr
-		}
-		srv, serr := rpc.NewServer(nd, "127.0.0.1:0")
-		if serr != nil {
-			return 0, 0, st, 0, serr
-		}
-		servers = append(servers, srv)
-		addrs[i] = srv.Addr()
-	}
-	conns, err := client.DialAll(context.Background(), addrs)
-	if err != nil {
-		return 0, 0, st, 0, err
-	}
-	c, err := client.New(context.Background(), client.Config{
-		Name:             "alloc-bench",
-		SuperChunkSize:   256 << 10,
-		DisableChunkPool: disablePool,
-	}, director.New(), conns)
-	if err != nil {
-		return 0, 0, st, 0, err
-	}
-	defer c.Close()
-
-	size := mb << 20
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	err = c.BackupFile(context.Background(), "/alloc/stream",
-		&streamSource{rng: rand.New(rand.NewSource(17)), left: size})
-	if err == nil {
-		err = c.Flush(context.Background())
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	if err != nil {
-		return 0, 0, st, 0, err
-	}
-	mallocs = m1.Mallocs - m0.Mallocs
-	allocMB = float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20)
-	st = c.Stats()
-	mbps = float64(size) / (1 << 20) / elapsed.Seconds()
-	return mallocs, allocMB, st, mbps, nil
-}
-
-// runWire measures the binary wire format end to end: the headline
-// unique-stream run (same shape as BENCH_streaming.json for direct
-// comparison), a vm-workload run with meaningful dedup numbers, and the
-// buffer-pooling allocation A/B.
-func runWire(mb, nNodes, inflight int, seed int64) (*wireReport, error) {
-	if mb <= 0 {
-		mb = 64
-	}
-	if nNodes <= 0 {
-		nNodes = 4
-	}
-	// The headline runs the wire stack at system defaults — 1MB
-	// super-chunks (RemoteConfig's default routing granularity), the
-	// hardware-accelerated SHA-256 fingerprint the README recommends for
-	// throughput-bound ingest — over Unix domain sockets, the right
-	// transport for the bench's co-located in-process node deployment.
-	// Throughput is the best of three runs (the bench is CPU-bound and
-	// shares its cores with the servers, so the max is the least noisy
-	// estimator); a single TCP-loopback run is recorded alongside for
-	// comparison against networked deployments.
-	wireOpts := streamOptions{
-		superChunkSize: 1 << 20,
-		fingerprint:    sigmadedupe.FingerprintSHA256,
-		unixSockets:    true,
-	}
-	const headlineRuns = 3
-	var headline *streamReport
-	for i := 0; i < headlineRuns; i++ {
-		rep, err := runStreamWith(mb, nNodes, inflight, "", seed, wireOpts)
-		if err != nil {
-			return nil, err
-		}
-		if headline == nil || rep.ThroughputMBps > headline.ThroughputMBps {
-			headline = rep
-		}
-	}
-	tcpOpts := wireOpts
-	tcpOpts.unixSockets = false
-	tcpRun, err := runStreamWith(mb, nNodes, inflight, "", seed, tcpOpts)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := runStreamWith(mb, nNodes, inflight, "vm", seed, wireOpts)
-	if err != nil {
-		return nil, err
-	}
-
-	allocMB := mb / 2
-	if allocMB < 8 {
-		allocMB = 8
-	}
-	mallocsOff, heapOff, _, mbpsOff, err := measureAlloc(allocMB, nNodes, true)
-	if err != nil {
-		return nil, err
-	}
-	mallocsOn, heapOn, stOn, mbpsOn, err := measureAlloc(allocMB, nNodes, false)
-	if err != nil {
-		return nil, err
-	}
-	ab := wireAllocAB{
-		DataMB:             allocMB,
-		MallocsUnpooled:    mallocsOff,
-		MallocsPooled:      mallocsOn,
-		AllocMBUnpooled:    heapOff,
-		AllocMBPooled:      heapOn,
-		ChunkBufAllocs:     stOn.ChunkBufAllocs,
-		ChunkBufReuses:     stOn.ChunkBufReuses,
-		ThroughputUnpooled: mbpsOff,
-		ThroughputPooled:   mbpsOn,
-	}
-	if mallocsOn > 0 {
-		ab.MallocReduction = float64(mallocsOff) / float64(mallocsOn)
-	}
-	if heapOn > 0 {
-		ab.AllocMBReduction = heapOff / heapOn
-	}
-	return &wireReport{
-		Experiment:     "wire",
-		DataMB:         headline.DataMB,
-		Nodes:          nNodes,
-		Inflight:       headline.Inflight,
-		Transport:      headline.Transport,
-		Runs:           headlineRuns,
-		Seconds:        headline.Seconds,
-		ThroughputMBps: headline.ThroughputMBps,
-		TCPLoopbackMBs: tcpRun.ThroughputMBps,
-		Bounded:        headline.Bounded,
-		Workload: wireWorkloadRun{
-			Name:            "vm",
-			DataMB:          wl.DataMB,
-			ThroughputMBps:  wl.ThroughputMBps,
-			DedupRatio:      wl.DedupRatio,
-			BandwidthSaving: wl.BandwidthSaving,
-		},
-		Alloc: ab,
-	}, nil
 }

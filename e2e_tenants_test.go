@@ -449,3 +449,83 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// runQuotaAcrossRepin: a session's committed backups count once against
+// its tenant's quota, also after a membership change moved the session
+// onto a client admitted later (whose headroom already excludes them).
+func runQuotaAcrossRepin(t *testing.T, be Backend, addAddr func() string) {
+	t.Helper()
+	ctx := context.Background()
+	admin := be.(TenantAdmin)
+	if err := admin.CreateTenant(ctx, TenantConfig{Name: "q", QuotaBytes: 100 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := be.NewSession(ctx, WithTenant("q"), WithSuperChunkSize(32<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	want := map[string][]byte{"/a": tenantBlob(401, 40<<10), "/b": tenantBlob(402, 40<<10)}
+	if err := sess.Backup(ctx, "/a", bytes.NewReader(want["/a"])); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := be.AddNode(ctx, addAddr()); err != nil {
+		t.Fatal(err)
+	}
+	// 80KB live after this backup: within the 100KB quota.
+	if err := sess.Backup(ctx, "/b", bytes.NewReader(want["/b"])); err != nil {
+		t.Fatalf("backup within quota after AddNode: %v", err)
+	}
+	if err := sess.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range want {
+		var out bytes.Buffer
+		if err := admin.RestoreTenant(ctx, "q", name, &out); err != nil || !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("restore %s: %v", name, err)
+		}
+	}
+	// The quota still binds: another 40KB would make 120KB live.
+	err = sess.Backup(ctx, "/c", bytes.NewReader(tenantBlob(403, 40<<10)))
+	if !errors.Is(err, ErrQuotaExceeded) {
+		t.Fatalf("over-quota backup after AddNode = %v, want ErrQuotaExceeded", err)
+	}
+}
+
+// TestQuotaAcrossRepinSimulator runs runQuotaAcrossRepin on the
+// simulator, whose sessions re-pin to a new client on every epoch change.
+func TestQuotaAcrossRepinSimulator(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Nodes: 2, KeepPayloads: true, SuperChunkSize: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	runQuotaAcrossRepin(t, c, func() string { return "" })
+}
+
+// TestQuotaAcrossRepinRemote runs runQuotaAcrossRepin on the TCP
+// prototype.
+func TestQuotaAcrossRepinRemote(t *testing.T) {
+	addrs := startServers(t, 2)
+	be, err := NewRemote(context.Background(), RemoteConfig{
+		Name:           "quota",
+		Director:       NewDirector(),
+		Nodes:          addrs,
+		SuperChunkSize: 32 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	runQuotaAcrossRepin(t, be, func() string {
+		srv, err := StartServer(ServerConfig{ID: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv.Addr()
+	})
+}

@@ -18,12 +18,11 @@ import (
 // sync.Pool boxes the slice header, costing one heap allocation per
 // released chunk — exactly the per-chunk churn the pool exists to kill.
 type BufPool struct {
-	mu      sync.Mutex
-	free    [][]byte
-	bufCap  int // capacity every pooled buffer is provisioned with
-	disable bool
-	allocs  atomic.Int64 // buffers newly made (pool miss or pooling off)
-	reuses  atomic.Int64 // buffers served from the pool
+	mu     sync.Mutex
+	free   [][]byte
+	bufCap int          // capacity every pooled buffer is provisioned with
+	allocs atomic.Int64 // buffers newly made (pool miss or oversized)
+	reuses atomic.Int64 // buffers served from the pool
 }
 
 // bufPoolRetain bounds the free stack. The steady-state population is
@@ -31,16 +30,15 @@ type BufPool struct {
 // from a draining burst and can go to the GC.
 const bufPoolRetain = 1024
 
-// NewBufPool returns a pool of buffers provisioned with bufCap bytes;
-// disable makes every Alloc a fresh heap allocation.
-func NewBufPool(bufCap int, disable bool) *BufPool {
-	return &BufPool{bufCap: bufCap, disable: disable}
+// NewBufPool returns a pool of buffers provisioned with bufCap bytes.
+func NewBufPool(bufCap int) *BufPool {
+	return &BufPool{bufCap: bufCap}
 }
 
 // Alloc implements chunker.Allocator: a slice of length n, drawn from
 // the pool when possible.
 func (p *BufPool) Alloc(n int) []byte {
-	if !p.disable && n <= p.bufCap {
+	if n <= p.bufCap {
 		p.mu.Lock()
 		if last := len(p.free) - 1; last >= 0 {
 			b := p.free[last]
@@ -62,7 +60,7 @@ func (p *BufPool) Alloc(n int) []byte {
 // Release returns a chunk buffer for reuse once nothing references it.
 // Buffers that lost their provisioned capacity are dropped for the GC.
 func (p *BufPool) Release(b []byte) {
-	if p.disable || cap(b) < p.bufCap {
+	if cap(b) < p.bufCap {
 		return
 	}
 	p.mu.Lock()

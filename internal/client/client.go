@@ -11,8 +11,9 @@
 // being read, per-super-chunk routing bids fan out to all candidate
 // nodes at once, and a bounded window of super-chunks is routed, queried
 // and stored concurrently so fingerprinting of super-chunk n+1 overlaps
-// the network transfer of n. Restore symmetrically prefetches chunks
-// with a bounded worker pool while writing them back in stream order.
+// the network transfer of n. Restore symmetrically reads byte-bounded
+// windows ahead, one batched read per node per window, while writing
+// them back in stream order.
 //
 // Every blocking operation takes a context.Context. Cancellation
 // propagates through the chunking pipeline (the stage group), the
@@ -26,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,23 +68,15 @@ type Config struct {
 	// sizes the fingerprint worker pool (default GOMAXPROCS).
 	Pipeline pipeline.Config
 	// InflightSuperChunks bounds how many super-chunks may be in the
-	// route/query/store stage concurrently (default
-	// DefaultInflightSuperChunks; 1 restores the fully serial
-	// route-and-transfer path).
+	// route/query/store stage concurrently, and how many restore windows
+	// are read ahead of the writer (default DefaultInflightSuperChunks; 1
+	// keeps one super-chunk in flight at a time).
 	InflightSuperChunks int
 	// Epoch is the membership epoch this client's node set belongs to
 	// (default 1). A Client pins its epoch for its whole life — the
 	// in-flight-session guarantee of elastic membership: node adds and
 	// removals become visible to new clients, never to this one.
 	Epoch uint64
-	// DisableChunkPool turns off chunk payload buffer recycling, making
-	// every chunk a fresh heap allocation — the pre-pooling behavior,
-	// kept as an A/B switch for allocation benchmarking.
-	DisableChunkPool bool
-	// PerChunkRestore selects the one-RPC-per-chunk restore path instead
-	// of the default windowed batch scheduler — the pre-batching
-	// behavior, kept as an A/B switch for restore benchmarking.
-	PerChunkRestore bool
 	// RestoreWindowBytes bounds the payload bytes of one restore window,
 	// the unit of batched read scheduling: each window becomes one
 	// OpReadBatch RPC per node it touches, and up to InflightSuperChunks
@@ -171,18 +163,16 @@ type Stats struct {
 	// memory, bounded by the window configuration, never by stream size.
 	PeakBufferedBytes int64
 	// ChunkBufAllocs counts chunk payload buffers newly allocated from
-	// the heap; with pooling on it plateaus at roughly the in-flight
-	// window's chunk count — the allocation-cliff proof — while
-	// ChunkBufReuses grows with the stream. Restore contributes too: the
-	// per-chunk path copies every payload out of its response frame (one
-	// alloc per chunk), while the batched path writes straight from the
-	// pooled receive frames (one reuse per chunk).
+	// the heap; it plateaus at roughly the in-flight window's chunk count
+	// — the allocation-cliff proof — while ChunkBufReuses grows with the
+	// stream. Restore contributes one reuse per chunk: payloads are
+	// written straight from the pooled receive frames.
 	ChunkBufAllocs int64
 	ChunkBufReuses int64
 	// RestoredBytes and RestoreRPCs instrument the restore path: payload
 	// bytes written back, and read RPCs issued to serve them (one per
-	// chunk on the per-chunk path; one per node touched per window on the
-	// batched path).
+	// node touched per window, plus one per replica node a failed node's
+	// share is refetched from).
 	RestoredBytes int64
 	RestoreRPCs   int64
 	// FailoverReads counts restore chunk reads served by a replica after
@@ -339,16 +329,15 @@ func New(ctx context.Context, cfg Config, dir director.Metadata, nodes map[int]N
 		}
 	}
 	c := &Client{
-		cfg:     cfg,
-		conns:   conns,
-		byID:    nodes,
-		members: core.NewMembership(cfg.Epoch, ids),
-		dir:     dir,
-		session: session,
-		part:    part,
-		routes:  pipeline.NewWindow(cfg.InflightSuperChunks),
-		bufs: NewBufPool(chunker.MaxChunkSize(cfg.ChunkMethod, cfg.ChunkSize),
-			cfg.DisableChunkPool),
+		cfg:        cfg,
+		conns:      conns,
+		byID:       nodes,
+		members:    core.NewMembership(cfg.Epoch, ids),
+		dir:        dir,
+		session:    session,
+		part:       part,
+		routes:     pipeline.NewWindow(cfg.InflightSuperChunks),
+		bufs:       NewBufPool(chunker.MaxChunkSize(cfg.ChunkMethod, cfg.ChunkSize)),
 		wrotePaths: make(map[string]struct{}),
 		headroom:   headroom,
 	}
@@ -396,9 +385,6 @@ func (c *Client) connByID(id int) (NodeConn, error) {
 
 // Session returns the director session ID of this backup run.
 func (c *Client) Session() uint64 { return c.session }
-
-// Config returns the client's effective configuration (defaults filled).
-func (c *Client) Config() Config { return c.cfg }
 
 // addBuffered accounts payload bytes entering the in-flight window.
 func (c *Client) addBuffered(n int64) {
@@ -474,36 +460,6 @@ func (c *Client) BackupFile(ctx context.Context, path string, r io.Reader) error
 		return core.ChunkRef{FP: c.Fingerprint(ch.Data), Size: ch.Len(), Data: ch.Data}
 	}
 
-	// A fully serial configuration (1 worker, 1 in-flight super-chunk)
-	// runs the direct pre-pipeline loop: no goroutines, no channels. This
-	// is both the honest benchmark baseline and the cheapest path when
-	// concurrency is deliberately disabled. With a single worker on a
-	// single-P runtime the same inline loop wins for ANY in-flight window:
-	// a separate fingerprint goroutine cannot overlap with chunking on one
-	// processor, so its per-chunk channel hops are pure overhead, while
-	// routing concurrency is preserved — consume hands completed
-	// super-chunks to the bounded async window either way.
-	if c.cfg.Pipeline.Workers == 1 &&
-		(c.cfg.InflightSuperChunks <= 1 || runtime.GOMAXPROCS(0) == 1) {
-		for {
-			if err := ctx.Err(); err != nil {
-				return c.fail(chunkErr(err))
-			}
-			chunk, err := ck.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return c.fail(chunkErr(err))
-			}
-			if err := consume(fpRef(chunk)); err != nil {
-				return c.fail(err)
-			}
-		}
-		pf.done = true
-		return c.fail(c.finalizeRecipes(ctx))
-	}
-
 	// Peek ahead so empty and single-chunk files — the bulk of a typical
 	// backup tree — skip pipeline setup entirely.
 	first, errFirst := ck.Next()
@@ -572,15 +528,11 @@ func (c *Client) fail(err error) error {
 	return err
 }
 
-// enqueueSuperChunk hands one super-chunk to the route/query/store stage.
-// With InflightSuperChunks <= 1 the stage runs inline (the serial path);
-// otherwise up to InflightSuperChunks super-chunks are in flight at once
-// and results are applied in stream order as they complete.
+// enqueueSuperChunk hands one super-chunk to the route/query/store stage:
+// up to InflightSuperChunks super-chunks are in flight at once, and
+// results are applied in stream order as they complete.
 func (c *Client) enqueueSuperChunk(ctx context.Context, sc *core.SuperChunk) error {
 	c.addBuffered(sc.Size())
-	if c.cfg.InflightSuperChunks <= 1 {
-		return c.apply(c.routeScheduled(ctx, sc))
-	}
 	// Bound the queue of completed-but-unapplied results (each pins its
 	// super-chunk payloads in memory) to twice the in-flight window.
 	if err := c.applyCompleted(2*c.cfg.InflightSuperChunks - 1); err != nil {
@@ -855,31 +807,20 @@ func (c *Client) routeSuperChunk(ctx context.Context, sc *core.SuperChunk) route
 	counts := make([]int, len(cands))
 	usage := make([]int64, len(cands))
 	errs := make([]error, len(cands))
-	bid := func(i, cand int) {
-		conn, err := c.connByID(cand)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		counts[i], usage[i], errs[i] = conn.Bid(ctx, hp)
+	var wg sync.WaitGroup
+	for i, cand := range cands {
+		wg.Add(1)
+		go func(i, cand int) {
+			defer wg.Done()
+			conn, err := c.connByID(cand)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			counts[i], usage[i], errs[i] = conn.Bid(ctx, hp)
+		}(i, cand)
 	}
-	if c.cfg.InflightSuperChunks <= 1 {
-		// Fully serial path: one bid round trip after another, the
-		// pre-pipeline behavior (and the benchmark baseline).
-		for i, cand := range cands {
-			bid(i, cand)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, cand := range cands {
-			wg.Add(1)
-			go func(i, cand int) {
-				defer wg.Done()
-				bid(i, cand)
-			}(i, cand)
-		}
-		wg.Wait()
-	}
+	wg.Wait()
 	routeErr := func(stage string, node int, err error) routeResult {
 		return routeResult{sc: sc, err: &sderr.BackupError{
 			Name:  c.cfg.Name,
@@ -1113,13 +1054,11 @@ func (c *Client) restoreWorkers() int {
 }
 
 // Restore streams a backed-up file to w, reading ahead of the writer
-// while writing strictly in stream order. The default scheduler
-// partitions the recipe into byte-bounded windows (RestoreWindowBytes)
-// and fetches each window with one OpReadBatch RPC per node it touches —
-// the node reads every container once, sequentially — keeping up to
-// InflightSuperChunks windows in flight. Config.PerChunkRestore selects
-// the one-RPC-per-chunk path instead. Canceling ctx aborts the
-// read-ahead and every RPC in flight.
+// while writing strictly in stream order. The recipe is partitioned into
+// byte-bounded windows (RestoreWindowBytes), each fetched with one
+// OpReadBatch RPC per node it touches — the node reads every container
+// once, sequentially — keeping up to InflightSuperChunks windows in
+// flight. Canceling ctx aborts the read-ahead and every RPC in flight.
 func (c *Client) Restore(ctx context.Context, path string, w io.Writer) error {
 	if err := tenant.ValidateBackupName(path); err != nil {
 		return fmt.Errorf("client: restore: %w", err)
@@ -1128,82 +1067,12 @@ func (c *Client) Restore(ctx context.Context, path string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if c.cfg.PerChunkRestore {
-		err = c.restorePerChunk(ctx, path, recipe.Chunks, w)
-	} else {
-		err = c.restoreBatched(ctx, path, recipe.Chunks, w)
-	}
-	if err == nil {
+	if err = c.restoreBatched(ctx, path, recipe.Chunks, w); err == nil {
 		// Best-effort gauge update: a failed accounting call must not
 		// fail a restore that already delivered every byte.
 		c.accountTransfer(ctx)
 	}
 	return err
-}
-
-// restorePerChunk is the pre-batching restore scheduler: one OpReadChunk
-// RPC per recipe entry, prefetched by a bounded worker pool.
-func (c *Client) restorePerChunk(ctx context.Context, path string, entries []director.ChunkEntry, w io.Writer) error {
-	type job struct {
-		idx   int
-		entry director.ChunkEntry
-	}
-	g := pipeline.NewGroupCtx(ctx)
-	workers := c.restoreWorkers()
-	jobs := pipeline.Produce(g, workers, func(yield func(job) bool) error {
-		for i, entry := range entries {
-			if !yield(job{idx: i, entry: entry}) {
-				return nil
-			}
-		}
-		return nil
-	})
-	datas := pipeline.Map(g, jobs, workers, 2*workers, func(j job) ([]byte, error) {
-		data, err := c.readChunkFailover(ctx, j.entry)
-		if err != nil {
-			return nil, fmt.Errorf("client: restore %s chunk %d: %w", path, j.idx, err)
-		}
-		return data, nil
-	})
-	for data := range datas {
-		if _, err := w.Write(data); err != nil {
-			g.Fail(fmt.Errorf("client: restore %s: %w", path, err))
-			break
-		}
-		c.stats.RestoredBytes += int64(len(data))
-		c.stats.RestoreRPCs++
-		// ReadChunk hands back a fresh heap copy of the payload.
-		c.stats.ChunkBufAllocs++
-	}
-	return g.Wait()
-}
-
-// readChunkFailover reads one chunk from its primary node, failing over
-// to the entry's replica when the primary is out of the epoch (killed),
-// unreachable, or answers with an error — the chunk vanished with a
-// crashed disk, say. Both errors surface together when the replica
-// cannot serve either.
-func (c *Client) readChunkFailover(ctx context.Context, e director.ChunkEntry) ([]byte, error) {
-	conn, err := c.connByID(int(e.Node))
-	if err == nil {
-		var data []byte
-		if data, err = conn.ReadChunk(ctx, e.FP); err == nil {
-			return data, nil
-		}
-	}
-	if e.Replica < 0 {
-		return nil, err
-	}
-	rconn, rerr := c.connByID(int(e.Replica))
-	if rerr != nil {
-		return nil, fmt.Errorf("%w (failover: %v)", err, rerr)
-	}
-	data, rerr := rconn.ReadChunk(ctx, e.FP)
-	if rerr != nil {
-		return nil, fmt.Errorf("%w (failover: %v)", err, rerr)
-	}
-	c.failoverReads.Add(1)
-	return data, nil
 }
 
 // restoreWindow is one contiguous run of recipe entries scheduled as a
@@ -1377,7 +1246,7 @@ func (c *Client) failoverFetch(ctx context.Context, entries []director.ChunkEntr
 	return out, batches, rpcs, nil
 }
 
-// restoreBatched is the windowed batch scheduler: the recipe is cut into
+// restoreBatched is the restore scheduler: the recipe is cut into
 // byte-bounded windows, up to InflightSuperChunks windows are fetched
 // ahead of the writer (fetchWindow), and payloads are written strictly
 // in stream order straight out of the pooled receive frames — no

@@ -24,8 +24,6 @@ type NodeConn interface {
 	// Store stores sc on the named stream; with withData false the
 	// payloads are not sent (reference-only store).
 	Store(ctx context.Context, stream string, sc *core.SuperChunk, withData bool) error
-	// ReadChunk returns one chunk payload, owned by the caller.
-	ReadChunk(ctx context.Context, fp fingerprint.Fingerprint) ([]byte, error)
 	// ReadBatch returns the payloads of fps in request order; the caller
 	// releases the batch once the data is written out.
 	ReadBatch(ctx context.Context, fps []fingerprint.Fingerprint) (*rpc.ChunkBatch, error)

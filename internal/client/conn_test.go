@@ -103,10 +103,6 @@ func nodeConnTrace(t *testing.T, conn NodeConn) []string {
 	}
 	_, err = conn.ReadBatch(ctx, []fingerprint.Fingerprint{want[1], unknown})
 	rec("read batch unknown", nil, err)
-	data, err := conn.ReadChunk(ctx, want[3])
-	rec("read chunk", payloads([][]byte{data}), err)
-	_, err = conn.ReadChunk(ctx, unknown)
-	rec("read chunk unknown", nil, err)
 
 	counts, err := conn.RefCounts(ctx, append(want[:3:3], unknown))
 	rec("refcounts", counts, err)

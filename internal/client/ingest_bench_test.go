@@ -73,10 +73,10 @@ func benchIngest(b *testing.B, addrs []string, workers, inflight int, size int) 
 	}
 }
 
-// BenchmarkIngest compares the serial ingest path (1 fingerprint worker,
-// 1 in-flight store — the pre-pipeline behavior) against the concurrent
-// pipeline on pure loopback. The gap here comes from fingerprinting
-// parallelism and compute/transfer overlap, so it grows with core count.
+// BenchmarkIngest compares the narrowest pipeline (1 fingerprint worker,
+// 1 in-flight super-chunk) against the default widths on pure loopback.
+// The gap here comes from fingerprinting parallelism and
+// compute/transfer overlap, so it grows with core count.
 func BenchmarkIngest(b *testing.B) {
 	addrs := benchServers(b, 4, 0)
 	b.Run("serial", func(b *testing.B) { benchIngest(b, addrs, 1, 1, 8<<20) })
@@ -86,11 +86,10 @@ func BenchmarkIngest(b *testing.B) {
 // BenchmarkIngestRemoteLatency repeats the comparison with 2ms of
 // injected per-request service latency — roughly one disk seek at the
 // node, the regime the paper's disk-bound deduplication servers live in.
-// The serial client pays every round trip back-to-back (bids, query,
-// store, one after another per super-chunk); the pipeline fans bids out,
-// overlaps stores with the next super-chunk's fingerprinting, and wins
-// even on a single-core host since latency, unlike compute, overlaps
-// freely.
+// With a window of one the client waits out each super-chunk's bid,
+// query and store round trips before routing the next; the default
+// window overlaps several super-chunks' round trips, and wins even on a
+// single-core host since latency, unlike compute, overlaps freely.
 func BenchmarkIngestRemoteLatency(b *testing.B) {
 	addrs := benchServers(b, 4, 2*time.Millisecond)
 	b.Run("serial", func(b *testing.B) { benchIngest(b, addrs, 1, 1, 4<<20) })

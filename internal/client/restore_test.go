@@ -91,50 +91,75 @@ func TestRestoreCancellationUnwinds(t *testing.T) {
 	}
 }
 
-// TestRestorePerChunkMatchesBatched restores the same backup through
-// both schedulers and requires byte-identical output plus the expected
-// RPC accounting (batched: one call per node per window; per-chunk: one
-// call per chunk).
-func TestRestorePerChunkMatchesBatched(t *testing.T) {
+// TestRestoreOneReadBatchPerNodePerWindow restores a backup spread over
+// two nodes and requires byte-identical output plus the exact read
+// accounting of the batched scheduler: one ReadBatch per node touched per
+// restore window, and no other node traffic.
+func TestRestoreOneReadBatchPerNodePerWindow(t *testing.T) {
+	ctx := context.Background()
 	addrs := startCluster(t, 2)
 	dir := director.New()
 	content := randBytes(91, 1<<20)
+	const window = 96 << 10
 
-	batched, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 64 << 10}, dir, dialNodes(t, addrs))
+	c, err := New(ctx, Config{Name: "t", SuperChunkSize: 64 << 10, RestoreWindowBytes: window},
+		dir, dialNodes(t, addrs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer batched.Close()
-	if err := batched.BackupFile(context.Background(), "/img", bytes.NewReader(content)); err != nil {
+	defer c.Close()
+	if err := c.BackupFile(ctx, "/img", bytes.NewReader(content)); err != nil {
 		t.Fatal(err)
 	}
-	if err := batched.Flush(context.Background()); err != nil {
+	if err := c.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	var a bytes.Buffer
-	if err := batched.Restore(context.Background(), "/img", &a); err != nil {
-		t.Fatal(err)
-	}
-	perChunk, err := New(context.Background(), Config{Name: "t2", SuperChunkSize: 64 << 10, PerChunkRestore: true}, dir, dialNodes(t, addrs))
+	// Expected reads: cut the recipe into windows of at most window
+	// payload bytes (a window always takes at least one entry) and count
+	// the distinct nodes each window touches.
+	recipe, err := dir.GetRecipe(ctx, c.key("/img"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer perChunk.Close()
-	var b bytes.Buffer
-	if err := perChunk.Restore(context.Background(), "/img", &b); err != nil {
-		t.Fatal(err)
+	var want, windows int64
+	nodes := map[int32]bool{}
+	var size int64
+	for i, e := range recipe.Chunks {
+		if i > 0 && size+int64(e.Size) > window {
+			want += int64(len(nodes))
+			windows++
+			nodes, size = map[int32]bool{}, 0
+		}
+		nodes[e.Node] = true
+		size += int64(e.Size)
 	}
-	if !bytes.Equal(a.Bytes(), content) || !bytes.Equal(b.Bytes(), content) {
-		t.Fatal("restore paths disagree with the backup content")
+	want += int64(len(nodes))
+	windows++
+	if windows < 8 {
+		t.Fatalf("only %d restore windows: the test needs several", windows)
+	}
+	if want == windows {
+		t.Fatal("no window touches both nodes: the test needs a spread recipe")
 	}
 
-	bst, pst := batched.Stats(), perChunk.Stats()
-	if bst.RestoredBytes != int64(len(content)) || pst.RestoredBytes != int64(len(content)) {
-		t.Fatalf("RestoredBytes = %d / %d, want %d", bst.RestoredBytes, pst.RestoredBytes, len(content))
+	before := c.RPCMessages()
+	var out bytes.Buffer
+	if err := c.Restore(ctx, "/img", &out); err != nil {
+		t.Fatal(err)
 	}
-	if bst.RestoreRPCs >= pst.RestoreRPCs {
-		t.Fatalf("batched restore used %d RPCs, per-chunk %d: batching saved nothing",
-			bst.RestoreRPCs, pst.RestoreRPCs)
+	if !bytes.Equal(out.Bytes(), content) {
+		t.Fatal("restore disagrees with the backup content")
+	}
+	st := c.Stats()
+	if st.RestoredBytes != int64(len(content)) {
+		t.Fatalf("RestoredBytes = %d, want %d", st.RestoredBytes, len(content))
+	}
+	if st.RestoreRPCs != want {
+		t.Fatalf("RestoreRPCs = %d, want %d (one per node per window over %d windows)",
+			st.RestoreRPCs, want, windows)
+	}
+	if sent := c.RPCMessages() - before; sent != want {
+		t.Fatalf("restore sent %d node requests, want %d", sent, want)
 	}
 }

@@ -51,10 +51,6 @@ type Config struct {
 	// Dir, when set, makes the node durable: sealed containers spill to
 	// disk and a manifest journals recovery state.
 	Dir string
-	// StoreShards is the fingerprint lock-stripe count of the store path
-	// (default store.DefaultShards; 1 restores the single-store-lock
-	// behavior for A/B benchmarking).
-	StoreShards int
 	// ReadCacheBytes is the byte budget of the container read-region
 	// cache that serves restore reads of spilled containers. Zero selects
 	// the default (store/container defaults table).
@@ -83,7 +79,6 @@ func (c Config) storeConfig() store.Config {
 		DisablePrefetch:   c.DisablePrefetch,
 		KeepPayloads:      c.KeepPayloads,
 		Dir:               c.Dir,
-		Shards:            c.StoreShards,
 		ReadCacheBytes:    c.ReadCacheBytes,
 		CompactEvery:      c.CompactEvery,
 		CompactThreshold:  c.CompactThreshold,
@@ -145,7 +140,6 @@ func New(cfg Config) (*Node, error) {
 	cfg.CacheContainers = eff.CacheContainers
 	cfg.ContainerCapacity = eff.ContainerCapacity
 	cfg.ExpectedChunks = eff.ExpectedChunks
-	cfg.StoreShards = eff.Shards
 	cfg.ReadCacheBytes = eff.ReadCacheBytes
 	cfg.CompactThreshold = eff.CompactThreshold
 	return &Node{cfg: cfg, eng: eng}, nil

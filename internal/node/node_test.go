@@ -8,6 +8,7 @@ import (
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/store"
 )
 
 // makeSC builds a super-chunk from n random 4KB chunks.
@@ -272,8 +273,11 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.SimIndexLocks <= 0 || cfg.CacheContainers <= 0 || cfg.ContainerCapacity <= 0 {
 		t.Fatal("defaults must be positive")
 	}
-	if cfg.StoreShards <= 0 || cfg.ReadCacheBytes <= 0 {
+	if cfg.ReadCacheBytes <= 0 {
 		t.Fatal("store defaults must be echoed")
+	}
+	if got := n.Engine().Config().Shards; got != store.DefaultShards {
+		t.Fatalf("store shards = %d, want the default %d", got, store.DefaultShards)
 	}
 }
 

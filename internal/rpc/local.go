@@ -76,15 +76,6 @@ func (l *Local) Store(ctx context.Context, stream string, sc *core.SuperChunk, w
 	return err
 }
 
-// ReadChunk mirrors Client.ReadChunk.
-func (l *Local) ReadChunk(ctx context.Context, fp fingerprint.Fingerprint) ([]byte, error) {
-	n, err := l.node(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return n.ReadChunk(fp)
-}
-
 // ReadBatch mirrors Client.ReadBatch. The payloads alias node memory, which
 // the node never rewrites in place, so Release has nothing to recycle.
 func (l *Local) ReadBatch(ctx context.Context, fps []fingerprint.Fingerprint) (*ChunkBatch, error) {

@@ -39,22 +39,19 @@ type RemoteConfig struct {
 	// session.
 	Chunk ChunkSpec
 	// Workers sizes the chunk-fingerprint worker pool of the ingest
-	// pipeline (default GOMAXPROCS; 1 fingerprints serially).
+	// pipeline (default GOMAXPROCS; 1 is a pool of one worker, which
+	// still runs beside the chunker).
 	Workers int
 	// InflightSuperChunks bounds the window of asynchronous Store RPCs a
 	// stream keeps in flight, so fingerprinting of super-chunk n+1
-	// overlaps the network transfer of n (default 4; 1 restores the fully
-	// serial store path). Together with SuperChunkSize this caps a
-	// stream's peak buffered payload.
+	// overlaps the network transfer of n (default 4; 1 is a window of one
+	// super-chunk). Together with SuperChunkSize this caps a stream's peak
+	// buffered payload.
 	InflightSuperChunks int
 	// Fingerprint selects the chunk fingerprint hash (default
 	// FingerprintSHA1; FingerprintSHA256 is faster on CPUs with SHA
 	// extensions). All of a backend's clients must agree on it.
 	Fingerprint FingerprintAlgorithm
-	// PerChunkRestore selects the one-RPC-per-chunk restore path instead
-	// of the default windowed batch scheduler — the pre-batching
-	// behavior, kept as an A/B switch for restore benchmarking.
-	PerChunkRestore bool
 	// Replicas ≥ 2 keeps a second copy of every super-chunk run on the
 	// rendezvous replica owner: after each Flush the session's recipes
 	// are walked and every replica-less run is streamed to its replica
@@ -352,7 +349,6 @@ func (r *Remote) newClient(ctx context.Context, cfg sessionConfig) (*client.Clie
 		InflightSuperChunks: cfg.inflight,
 		Algorithm:           r.cfg.Fingerprint.internal(),
 		Epoch:               epoch,
-		PerChunkRestore:     r.cfg.PerChunkRestore,
 		RestoreWindowBytes:  r.cfg.RestoreWindowBytes,
 		Replicas:            r.cfg.Replicas,
 		Tenant:              cfg.tenant,

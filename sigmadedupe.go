@@ -292,7 +292,7 @@ func (c *Cluster) newSession(stream *cluster.Stream, cfg sessionConfig) *cluster
 		c:      c,
 		stream: stream,
 		cfg:    cfg,
-		bufs:   client.NewBufPool(chunker.MaxChunkSize(cfg.chunk.Method.internal(), cfg.chunk.Size), false),
+		bufs:   client.NewBufPool(chunker.MaxChunkSize(cfg.chunk.Method.internal(), cfg.chunk.Size)),
 	}
 	s.pin.r, s.pin.cfg = c.mgmt, cfg
 	return s
@@ -656,6 +656,13 @@ type clusterSession struct {
 	// reportedStored tracks transferred bytes already accounted to the
 	// tenant, so each commit reports a delta.
 	reportedStored int64
+	// admitted is the client the soft quota check last ran against and
+	// admittedBytes the session's LogicalBytes when it was first seen: a
+	// client's headroom counts only bytes presented since its admission,
+	// because live usage at admission already includes what the session
+	// committed before.
+	admitted      *client.Client
+	admittedBytes int64
 
 	// schedLeft/schedRelease are the session's current weighted-fair
 	// scheduler quantum: bytes still drawable from the outstanding grant
@@ -711,6 +718,9 @@ func (s *clusterSession) backup(ctx context.Context, name string, r io.Reader) e
 	}
 	keep := s.c.cfg.KeepPayloads || s.c.cfg.Dir != ""
 	headroom := cl.Headroom()
+	if cl != s.admitted {
+		s.admitted, s.admittedBytes = cl, s.st.LogicalBytes
+	}
 	defer s.releaseSched()
 	s.stream.BeginItem(s.c.nextItem.Add(1))
 	s.st.Files++
@@ -739,7 +749,7 @@ func (s *clusterSession) backup(ctx context.Context, name string, r io.Reader) e
 		// Soft mid-stream quota check against the headroom captured at
 		// admission: the stream is cut off long before the hard check at
 		// commit would refuse the whole backup.
-		if headroom >= 0 && s.st.LogicalBytes > headroom {
+		if headroom >= 0 && s.st.LogicalBytes-s.admittedBytes > headroom {
 			return s.abort(ctx, cl, name, &BackupError{Name: name, Stage: "quota", Err: fmt.Errorf(
 				"tenant %s: stream exceeds quota headroom %d bytes: %w",
 				s.cfg.tenant, headroom, sderr.ErrQuotaExceeded)})
