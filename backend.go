@@ -45,7 +45,8 @@ type Backend interface {
 	// NewSession opens an explicit backup stream with its own pipeline.
 	NewSession(ctx context.Context, opts ...SessionOption) (*Session, error)
 	// AddNode commits a new membership epoch containing one fresh
-	// deduplication node and returns its stable ID. On the simulator the
+	// deduplication node and returns its stable ID: the director's next
+	// unused ID, never one a departed node held. On the simulator the
 	// node is created in process and addr must be empty; on the Remote
 	// backend addr is the TCP address of an already-running server. The
 	// node joins empty: new backups start filling it immediately (it
@@ -56,8 +57,9 @@ type Backend interface {
 	// RemoveNode migrates every super-chunk off the node — recipe by
 	// recipe, under the journaled migration commit protocol — and
 	// commits a membership epoch without it. All pre-existing backups
-	// restore byte-identically afterwards. Quiesce backup sessions
-	// first; a node that keeps receiving traffic fails the drain.
+	// restore byte-identically afterwards. On Remote, quiesce backup
+	// sessions first — a node that keeps receiving traffic fails the
+	// drain; the simulator waits for its backups in progress itself.
 	RemoveNode(ctx context.Context, id int) (MigrationResult, error)
 	// Rebalance migrates super-chunk segments from members above the
 	// cluster's mean storage usage onto underloaded rendezvous owners —

@@ -600,7 +600,7 @@ func runRecovery(mb, streams int) (*recoveryReport, error) {
 		DataMB:         mb,
 		Streams:        streams,
 		IngestSeconds:  ingest,
-		Containers:     rec.NumSealedContainers(),
+		Containers:     rec.Manager().NumSealed(),
 		UniqueChunks:   st.UniqueChunks,
 		PhysicalMB:     physicalMB,
 		RecoverSeconds: recover,

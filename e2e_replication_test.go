@@ -267,3 +267,116 @@ func TestKillNodeDuringIngest(t *testing.T) {
 		}
 	}
 }
+
+// runIDReuseScenario is the node-identity regression, run unmodified on
+// both backends: with R=2 over three nodes, node 2 dies, a fresh node
+// joins, Repair re-replicates, then node 0 dies too. The joined node
+// must get a never-used ID (3): were it handed 2 again, Repair would
+// read the dead node's recipe entries as live placements, promote and
+// re-replicate nothing, and the second death would lose data. kill
+// makes a node actually dead before the membership drops it; join
+// returns the address AddNode is given.
+func runIDReuseScenario(t *testing.T, be Backend, kill func(id int), join func() string) {
+	t.Helper()
+	ctx := context.Background()
+	content := make(map[string][]byte)
+	for i := 0; i < 16; i++ {
+		data := make([]byte, 48<<10+i*1000)
+		rand.New(rand.NewSource(int64(4000 + i))).Read(data)
+		name := fmt.Sprintf("/ids/file%d", i)
+		content[name] = data
+		if err := be.Backup(ctx, name, bytes.NewReader(data)); err != nil {
+			t.Fatalf("backup %s: %v", name, err)
+		}
+	}
+	if err := be.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	kill(2)
+	if err := be.KillNode(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	id, err := be.AddNode(ctx, join())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 3 {
+		t.Fatalf("AddNode after killing node 2 returned ID %d, want 3 (IDs are never reused)", id)
+	}
+	rep, err := be.Repair(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RereplicatedChunks == 0 {
+		t.Fatalf("Repair re-replicated nothing after a node died: %+v", rep)
+	}
+	kill(0)
+	if err := be.KillNode(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range content {
+		var out bytes.Buffer
+		if err := be.Restore(ctx, name, &out); err != nil {
+			t.Fatalf("restore %s after two deaths and a repair: %v", name, err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("%s corrupted after two deaths and a repair", name)
+		}
+	}
+}
+
+// TestNodeIDNeverReusedSimulator runs the node-identity regression on
+// the simulator.
+func TestNodeIDNeverReusedSimulator(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{
+		Nodes: 3, KeepPayloads: true, SuperChunkSize: 32 << 10, Replicas: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	runIDReuseScenario(t, c, func(int) {}, func() string { return "" })
+}
+
+// TestNodeIDNeverReusedRemote runs the node-identity regression on the
+// TCP prototype: killed servers close first, and the joining node is a
+// fourth server.
+func TestNodeIDNeverReusedRemote(t *testing.T) {
+	var srvs []*Server
+	start := func() string {
+		srv, err := StartServer(ServerConfig{ID: len(srvs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs = append(srvs, srv)
+		return srv.Addr()
+	}
+	addrs := []string{start(), start(), start()}
+	closed := make(map[int]bool)
+	t.Cleanup(func() {
+		for i, srv := range srvs {
+			if !closed[i] {
+				srv.Close()
+			}
+		}
+	})
+	be, err := NewRemote(context.Background(), RemoteConfig{
+		Name:           "ids",
+		Director:       NewDirector(),
+		Nodes:          addrs,
+		SuperChunkSize: 32 << 10,
+		Replicas:       2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	runIDReuseScenario(t, be,
+		func(id int) {
+			closed[id] = true
+			if err := srvs[id].Close(); err != nil {
+				t.Fatalf("killing server %d: %v", id, err)
+			}
+		},
+		start)
+}

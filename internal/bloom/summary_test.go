@@ -164,10 +164,14 @@ func TestSummaryConcurrentAddQuery(t *testing.T) {
 				index = append(index, fp)
 				srcMu.Unlock()
 				if s.Add(fp) {
-					srcMu.Lock()
-					snapshot := append([]fingerprint.Fingerprint(nil), index...)
-					srcMu.Unlock()
+					// The source enumerates the index when Rebuild calls
+					// it, under the summary's lock, as simindex.Range
+					// does: a snapshot taken before the call would miss a
+					// key whose Add lands in the old filter in between.
 					s.Rebuild(2*s.Capacity(), func(yield func(fingerprint.Fingerprint) bool) {
+						srcMu.Lock()
+						snapshot := append([]fingerprint.Fingerprint(nil), index...)
+						srcMu.Unlock()
 						for _, fp := range snapshot {
 							if !yield(fp) {
 								return

@@ -2,7 +2,6 @@ package chunker
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 )
@@ -43,7 +42,12 @@ func (c TTTDConfig) Validate() error {
 // cut appears before Max, it falls back to the most recent backup-divisor
 // cut, and only then to a hard cut at Max.
 type TTTDChunker struct {
-	r         *bufio.Reader
+	r *bufio.Reader
+	// carry holds the bytes past the last backup cut, which the next
+	// chunk reads before the reader; it is a window of carryBuf, whose
+	// Max bytes bound it.
+	carry     []byte
+	carryBuf  []byte
 	cfg       TTTDConfig
 	window    [rabinWindow]byte
 	offset    int64
@@ -76,7 +80,7 @@ func (tc *TTTDChunker) Next() (Chunk, error) {
 		backupDiv  = uint64(tc.cfg.MinorMean)
 	)
 	for {
-		b, err := tc.r.ReadByte()
+		b, err := tc.readByte()
 		if err == io.EOF {
 			tc.exhausted = true
 			if len(buf) == 0 {
@@ -116,20 +120,37 @@ func (tc *TTTDChunker) Next() (Chunk, error) {
 	}
 }
 
-// emit cuts buf at n bytes, pushing back any tail for the next chunk.
+// readByte returns the next input byte: carried bytes first, then the
+// reader.
+func (tc *TTTDChunker) readByte() (byte, error) {
+	if len(tc.carry) > 0 {
+		b := tc.carry[0]
+		tc.carry = tc.carry[1:]
+		return b, nil
+	}
+	return tc.r.ReadByte()
+}
+
+// emit cuts buf at n bytes, carrying any tail into the next chunk.
 func (tc *TTTDChunker) emit(buf []byte, n int) Chunk {
-	if n < len(buf) {
-		// Unread the tail so the next chunk starts at the backup cut.
-		// bufio cannot unread multiple bytes, so prepend via MultiReader.
-		tail := make([]byte, len(buf)-n)
-		copy(tail, buf[n:])
-		tc.r = bufio.NewReaderSize(io.MultiReader(bytes.NewReader(tail), tc.r), 1<<16)
-		// The pushed-back bytes will be re-hashed from a fresh window on
-		// the next call; reset window state.
+	if tail := buf[n:]; len(tail) > 0 {
+		// The next chunk starts at the backup cut: its input is the tail,
+		// then whatever carried bytes this chunk did not reach. Together
+		// they never exceed Max — either this chunk read only carried
+		// bytes, or it read all of them.
+		if tc.carryBuf == nil {
+			tc.carryBuf = make([]byte, tc.cfg.Max)
+		}
+		next := tc.carryBuf[:len(tail)+len(tc.carry)]
+		copy(next[len(tail):], tc.carry)
+		copy(next, tail)
+		tc.carry = next
+		// The carried bytes will be re-hashed from a fresh window on the
+		// next call; reset window state.
 		tc.window = [rabinWindow]byte{}
 	}
-	// The tail past n was already copied for pushback, so handing out the
-	// full-capacity slice is safe — and keeps the capacity visible to
+	// The tail past n was already copied into the carry, so handing out
+	// the full-capacity slice is safe — and keeps the capacity visible to
 	// pool-backed allocators that recycle by capacity.
 	ch := Chunk{Data: buf[:n], Offset: tc.offset}
 	tc.offset += int64(n)

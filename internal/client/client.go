@@ -480,7 +480,7 @@ func (c *Client) BackupFile(ctx context.Context, path string, r io.Reader) error
 			return c.fail(chunkErr(errSecond))
 		}
 		g := pipeline.NewGroupCtx(ctx)
-		raw := pipeline.Produce(g, c.cfg.Pipeline.Depth, func(yield func(chunker.Chunk) bool) error {
+		raw := pipeline.Produce(g, c.cfg.Pipeline.Depth(), func(yield func(chunker.Chunk) bool) error {
 			if !yield(first) || !yield(second) {
 				return nil
 			}
@@ -497,7 +497,7 @@ func (c *Client) BackupFile(ctx context.Context, path string, r io.Reader) error
 				}
 			}
 		})
-		refs := pipeline.Map(g, raw, c.cfg.Pipeline.Workers, c.cfg.Pipeline.Depth,
+		refs := pipeline.Map(g, raw, c.cfg.Pipeline.Workers, c.cfg.Pipeline.Depth(),
 			func(ch chunker.Chunk) (core.ChunkRef, error) { return fpRef(ch), nil })
 		for ref := range refs {
 			if err := consume(ref); err != nil {

@@ -49,9 +49,6 @@ type Config struct {
 	HandprintK int
 	// SuperChunkSize is the routing granularity in bytes (default 1MB).
 	SuperChunkSize int64
-	// SampleRate is Stateful routing's fingerprint sampling denominator
-	// (default 32).
-	SampleRate int
 	// FixedBoundaries cuts super-chunks at exact byte counts instead of
 	// content-defined boundaries (ablation; see core.Partitioner).
 	FixedBoundaries bool
@@ -93,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SuperChunkSize <= 0 {
 		c.SuperChunkSize = core.DefaultSuperChunkSize
-	}
-	if c.SampleRate <= 0 {
-		c.SampleRate = 32
 	}
 	return c
 }
@@ -140,31 +134,27 @@ type shard struct {
 }
 
 // Cluster is a simulated deduplication cluster. The node set is
-// elastic: AddNode/RemoveNode commit membership epochs, node IDs are
-// stable for a node's lifetime, and every backup item pins the epoch it
-// started on so routing never observes a torn member list.
+// elastic, but the cluster does not decide it: nodes are registered
+// under the IDs they are given (AddNode) and routing follows the
+// membership it is handed (SetMembership). Every backup item routes over
+// the view it started on, so it never observes a torn member list.
 type Cluster struct {
 	cfg Config
 	rt  router.Router
 
 	// memberMu guards the canonical node registry and serializes
-	// membership mutations. The routing/stats hot paths do NOT take it:
-	// they read the current epochState snapshot through cur. Store-path
-	// node resolution (Node) still reads the registry under the read
-	// lock so a killed node fails loudly instead of accepting writes
-	// through a stale snapshot.
+	// registry and view changes. The routing/stats hot paths do NOT take
+	// it: they read the current view through cur. Store-path node
+	// resolution (Node) still reads the registry under the read lock so
+	// a killed node fails loudly instead of accepting writes through a
+	// stale view.
 	memberMu sync.RWMutex
 	nodes    map[int]*node.Node
-	maxID    int
-	// cur is the current epoch snapshot. Mutations build a fresh
-	// epochState and swap the pointer; readers (bids, usage, stats,
-	// stream pins) load it without any lock. At 128 nodes × 64 streams
-	// this is what keeps the per-super-chunk bid fan-out and the
-	// per-item epoch pinning off a shared mutex.
-	cur atomic.Pointer[epochState]
-	// epochs is the commit history still potentially pinned by in-flight
-	// items (guarded by memberMu; pruned by waitEpochQuiesce).
-	epochs []*epochState
+	// cur is the current routing view. Changes build a fresh view and
+	// swap the pointer; readers (bids, usage, stats, streams starting an
+	// item) load it without any lock. At 128 nodes × 64 streams this is
+	// what keeps the per-super-chunk bid fan-out off a shared mutex.
+	cur atomic.Pointer[view]
 
 	shardMu sync.Mutex
 	shards  []*shard
@@ -177,32 +167,29 @@ type Cluster struct {
 	def *Stream
 }
 
-// epochState is one committed membership epoch: the member list plus an
-// immutable snapshot of the node objects live in it. Streams pin the
-// state for the duration of one backup item by bumping uses; membership
-// changes swap in a new state and wait out the old one's uses — the
-// same grace period the epochUses map used to provide, without a write
-// lock per backup item.
-type epochState struct {
+// view is one routing view: the member list plus an immutable snapshot
+// of the member node objects. A stream holds one view for the whole of
+// a backup item.
+type view struct {
 	members core.Membership
-	// nodes maps the epoch's member IDs to their node objects. The map
-	// is never mutated after commit, so pinned views read it lock-free.
+	// nodes maps the members' IDs to their node objects. The map is
+	// never mutated after the view is built, so readers need no lock.
 	nodes map[int]*node.Node
-	// uses counts backup items currently pinned to this epoch.
-	uses atomic.Int64
 }
 
-// commitEpochLocked snapshots the registry for membership m, makes it
-// the current epoch and appends it to the pin history. Caller holds
-// memberMu (write).
-func (c *Cluster) commitEpochLocked(m core.Membership) {
+// setViewLocked snapshots the registry for membership m and makes it
+// the current view. Caller holds memberMu (write).
+func (c *Cluster) setViewLocked(m core.Membership) error {
 	snap := make(map[int]*node.Node, m.Len())
 	for _, id := range m.Nodes {
-		snap[id] = c.nodes[id]
+		n := c.nodes[id]
+		if n == nil {
+			return fmt.Errorf("cluster: member %d of epoch %d is not registered", id, m.Epoch)
+		}
+		snap[id] = n
 	}
-	st := &epochState{members: m, nodes: snap}
-	c.epochs = append(c.epochs, st)
-	c.cur.Store(st)
+	c.cur.Store(&view{members: m, nodes: snap})
+	return nil
 }
 
 // New builds a cluster of cfg.N nodes.
@@ -211,7 +198,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.TrackRecipes && cfg.Scheme == router.ExtremeBinning {
 		return nil, fmt.Errorf("cluster: recipe tracking is incompatible with Extreme Binning (bin stores bypass the refcounted chunk index)")
 	}
-	rt, err := router.New(cfg.Scheme, cfg.HandprintK, cfg.SampleRate)
+	rt, err := router.New(cfg.Scheme, cfg.HandprintK)
 	if err != nil {
 		return nil, err
 	}
@@ -233,10 +220,11 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:   cfg,
 		nodes: nodes,
-		maxID: cfg.N - 1,
 		rt:    rt,
 	}
-	c.commitEpochLocked(core.DenseMembership(cfg.N))
+	if err := c.setViewLocked(core.DenseMembership(cfg.N)); err != nil {
+		return nil, err
+	}
 	// The default stream keeps the seed's container naming ("client0") so
 	// single-stream results are bit-identical to the serial simulator.
 	def, err := c.Stream("client0")
@@ -277,61 +265,54 @@ func (c *Cluster) StreamSized(name string, superChunkSize int64) (*Stream, error
 	return s, nil
 }
 
-// pinnedView is the cluster's router view pinned to one membership
-// epoch: bids and usage reads are live node state, but the member list
-// — and with it the candidate set — is the one the backup item started
-// on. All reads go through the epoch's immutable node snapshot, so a
-// routing decision takes no cluster-wide lock at all; only the store
-// path resolves nodes through the registry (Node), where a killed node
-// must fail loudly.
-type pinnedView struct {
-	st *epochState
-}
-
+// view implements router.View for the items that route over it: bids
+// and usage reads are live node state, but the member list — and with
+// it the candidate set — is the view's. All reads go through the view's
+// immutable node snapshot, so a routing decision takes no cluster-wide
+// lock at all; only the store path resolves nodes through the registry
+// (Node), where a killed node must fail loudly.
 var (
-	_ router.View        = pinnedView{}
-	_ router.SummaryView = pinnedView{}
+	_ router.View        = (*view)(nil)
+	_ router.SummaryView = (*view)(nil)
 )
 
-func (v pinnedView) N() int { return v.st.members.Len() }
+func (v *view) N() int { return v.members.Len() }
 
-func (v pinnedView) Membership() core.Membership { return v.st.members }
+func (v *view) Membership() core.Membership { return v.members }
 
-// BidHandprint implements router.View against the pinned epoch. A node
-// that has since been killed still answers from its frozen in-RAM index
-// (engine state stays readable after Close); the store path is where a
-// dead node fails.
-func (v pinnedView) BidHandprint(nodeID int, hp core.Handprint) int {
-	n := v.st.nodes[nodeID]
+// BidHandprint implements router.View. A node that has since been
+// killed still answers from its frozen in-RAM index (engine state stays
+// readable after Close); the store path is where a dead node fails.
+func (v *view) BidHandprint(nodeID int, hp core.Handprint) int {
+	n := v.nodes[nodeID]
 	if n == nil {
 		return 0
 	}
 	return n.CountHandprintMatches(hp)
 }
 
-// BidChunks implements router.View against the pinned epoch.
-func (v pinnedView) BidChunks(nodeID int, fps []fingerprint.Fingerprint) int {
-	n := v.st.nodes[nodeID]
+// BidChunks implements router.View.
+func (v *view) BidChunks(nodeID int, fps []fingerprint.Fingerprint) int {
+	n := v.nodes[nodeID]
 	if n == nil {
 		return 0
 	}
 	return n.CountStoredChunks(fps)
 }
 
-// Usage implements router.View against the pinned epoch.
-func (v pinnedView) Usage(nodeID int) int64 {
-	n := v.st.nodes[nodeID]
+// Usage implements router.View.
+func (v *view) Usage(nodeID int) int64 {
+	n := v.nodes[nodeID]
 	if n == nil {
 		return 0
 	}
 	return n.StorageUsage()
 }
 
-// SummaryMayContain implements router.SummaryView against the pinned
-// epoch: the node's bid summary answers whether any RFP of hp may be in
-// its similarity index.
-func (v pinnedView) SummaryMayContain(nodeID int, hp core.Handprint) bool {
-	n := v.st.nodes[nodeID]
+// SummaryMayContain implements router.SummaryView: the node's bid
+// summary answers whether any RFP of hp may be in its similarity index.
+func (v *view) SummaryMayContain(nodeID int, hp core.Handprint) bool {
+	n := v.nodes[nodeID]
 	if n == nil {
 		return false
 	}
@@ -355,25 +336,25 @@ func newClusterNode(cfg Config, id int) (*node.Node, error) {
 	return n, nil
 }
 
-// Node returns a registered node by its cluster ID: a member of the
-// current epoch, or a departed member not yet dropped. A killed node
-// fails with ErrNotFound.
+// Node returns a registered node by its cluster ID: a member, a node
+// added but not yet a member, or a departed member not yet dropped. A
+// killed node fails with ErrNotFound.
 func (c *Cluster) Node(id int) (*node.Node, error) {
 	c.memberMu.RLock()
 	n := c.nodes[id]
 	c.memberMu.RUnlock()
 	if n == nil {
-		return nil, fmt.Errorf("cluster: no node %d in the current epoch: %w", id, sderr.ErrNotFound)
+		return nil, fmt.Errorf("cluster: no node %d: %w", id, sderr.ErrNotFound)
 	}
 	return n, nil
 }
 
-// N returns the live node count of the current epoch.
+// N returns the member count of the current view.
 func (c *Cluster) N() int {
 	return c.cur.Load().members.Len()
 }
 
-// Membership returns the current epoch's live node set.
+// Membership returns the current view's membership.
 func (c *Cluster) Membership() core.Membership {
 	return c.cur.Load().members
 }
@@ -434,14 +415,14 @@ func (c *Cluster) BackupItems(streams map[string][]Item) error {
 	return g.Wait()
 }
 
-// liveNodes snapshots the live nodes of the current epoch, ascending by
-// ID — lock-free through the epoch snapshot, so stats readers
-// (UsageVector, Skew) never contend with membership or ingest locks.
+// liveNodes snapshots the members of the current view, ascending by
+// ID — lock-free through the view, so stats readers (UsageVector, Skew)
+// never contend with membership or ingest locks.
 func (c *Cluster) liveNodes() []*node.Node {
-	st := c.cur.Load()
-	out := make([]*node.Node, 0, st.members.Len())
-	for _, id := range st.members.Nodes {
-		out = append(out, st.nodes[id])
+	v := c.cur.Load()
+	out := make([]*node.Node, 0, v.members.Len())
+	for _, id := range v.members.Nodes {
+		out = append(out, v.nodes[id])
 	}
 	return out
 }
@@ -470,16 +451,11 @@ type Stream struct {
 	name string
 	part *core.Partitioner
 	ctr  *shard
-	// st is the epoch snapshot this stream routes against, re-pinned at
-	// every item boundary: a backup item never observes a torn member
-	// list, and a membership change becomes visible to the stream at
-	// its next item. While an item is in flight the snapshot's use
-	// count is held, so RemoveNode can wait out every item that could
-	// still store to the departing node. Pinning is lock-free (one
-	// atomic increment plus a validation reload) — the old protocol
-	// took the cluster-wide write lock per backup item, which at 64
-	// concurrent streams serialized the whole ingest.
-	st *epochState
+	// v is the view the current item routes over, loaded when the item
+	// starts and released when it ends: a backup item never observes a
+	// torn member list, and a membership change reaches the stream at
+	// its next item.
+	v *view
 	// placed records where the current item's chunks were stored, in
 	// stream order (Config.TrackRecipes, non-zero fileID).
 	placed []director.ChunkEntry
@@ -487,44 +463,11 @@ type Stream struct {
 	retired bool
 }
 
-// acquirePin re-pins the stream to the current epoch and registers the
-// in-flight item against it.
-func (s *Stream) acquirePin() {
-	s.releasePin()
-	for {
-		st := s.c.cur.Load()
-		st.uses.Add(1)
-		// Validate after the increment: a membership change that swapped
-		// the current epoch between our load and increment may already
-		// have scanned this state's uses and moved on, so the pin isn't
-		// protected — drop it and pin the new epoch instead. Once the
-		// reload still shows st, the increment happened-before any later
-		// swap, and the change's grace period will observe it.
-		if s.c.cur.Load() == st {
-			s.st = st
-			return
-		}
-		st.uses.Add(-1)
-	}
-}
-
-// releasePin deregisters the stream's in-flight item (item boundary or
-// abort).
-func (s *Stream) releasePin() {
-	if s.st == nil {
-		return
-	}
-	s.st.uses.Add(-1)
-	s.st = nil
-}
-
 // Close retires the stream: its counters fold into the cluster's base
-// totals, its shard is released, and any still-held epoch pin is
-// dropped (an abandoned item must not stall RemoveNode's grace period
-// forever). The stream must not be used again. Safe to call more than
-// once.
+// totals and its shard is released. The stream must not be used again.
+// Safe to call more than once.
 func (s *Stream) Close() {
-	s.releasePin()
+	s.v = nil
 	s.c.retire(s)
 }
 
@@ -535,8 +478,8 @@ func (s *Stream) Name() string { return s.name }
 func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 	s.ctr.files.Add(1)
 	s.placed = s.placed[:0]
-	s.acquirePin()
-	defer s.releasePin()
+	s.v = s.c.cur.Load()
+	defer func() { s.v = nil }()
 
 	fileScoped := s.c.cfg.Scheme == router.ExtremeBinning && fileID != 0
 	var fileMin fingerprint.Fingerprint
@@ -576,8 +519,8 @@ func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 // Flush routes the stream's final partial super-chunk. It does not seal
 // node containers; Cluster.Flush does that once per session.
 func (s *Stream) Flush() error {
-	s.acquirePin()
-	defer s.releasePin()
+	s.v = s.c.cur.Load()
+	defer func() { s.v = nil }()
 	if sc := s.part.Flush(); sc != nil {
 		if _, err := s.routeAndStore(sc); err != nil {
 			return err
@@ -595,7 +538,7 @@ func (s *Stream) Flush() error {
 func (s *Stream) BeginItem(fileID uint64) {
 	s.ctr.files.Add(1)
 	s.placed = s.placed[:0]
-	s.acquirePin()
+	s.v = s.c.cur.Load()
 	s.part.SetFileID(fileID)
 }
 
@@ -629,7 +572,7 @@ func (s *Stream) AddChunk(ctx context.Context, ref core.ChunkRef) (RouteOutcome,
 // item's chunks into the next item's attribution — the same invariant
 // BackupItem maintains.
 func (s *Stream) EndItem(ctx context.Context) (RouteOutcome, error) {
-	defer s.releasePin()
+	defer func() { s.v = nil }()
 	if err := ctx.Err(); err != nil {
 		return RouteOutcome{}, err
 	}
@@ -649,7 +592,7 @@ func (s *Stream) EndItem(ctx context.Context) (RouteOutcome, error) {
 // stored, so the caller can release it.
 func (s *Stream) AbortItem() {
 	_ = s.part.Flush()
-	s.releasePin()
+	s.v = nil
 }
 
 // ItemPlacements returns where the current (or just ended) item's chunks
@@ -669,7 +612,7 @@ type RouteOutcome struct {
 
 func (s *Stream) routeAndStore(sc *core.SuperChunk) (int64, error) {
 	c := s.c
-	d := c.rt.Route(sc, pinnedView{st: s.st})
+	d := c.rt.Route(sc, s.v)
 	s.ctr.superChunks.Add(1)
 	s.ctr.preRoutingMsgs.Add(d.PreRoutingMsgs)
 	s.ctr.bidsSent.Add(d.BidsSent)
@@ -769,7 +712,7 @@ func (c *Cluster) Stats() Stats {
 }
 
 // UsageVector returns per-node physical storage usage over the live
-// members of the current epoch, ascending by node ID.
+// members of the current view, ascending by node ID.
 func (c *Cluster) UsageVector() []int64 {
 	nodes := c.liveNodes()
 	out := make([]int64, len(nodes))
@@ -831,14 +774,11 @@ func (c *Cluster) RestartNode(i int) error {
 		return fmt.Errorf("cluster: restart node %d: %w", i, err)
 	}
 	c.memberMu.Lock()
+	defer c.memberMu.Unlock()
 	c.nodes[i] = n
-	// Re-commit the current membership so the epoch snapshot references
-	// the restarted node object, not the closed one. The member list and
-	// epoch number are unchanged — only the snapshot refreshes — so
-	// routing behavior (candidate widths are epoch-driven) is identical.
-	c.commitEpochLocked(c.cur.Load().members)
-	c.memberMu.Unlock()
-	return nil
+	// Rebuild the view over the unchanged membership so it references
+	// the restarted node object, not the closed one.
+	return c.setViewLocked(c.cur.Load().members)
 }
 
 // Restart bounces every live node in turn: a full cluster
@@ -866,7 +806,7 @@ func (c *Cluster) Close() error {
 	return err
 }
 
-// Nodes exposes the live nodes of the current epoch, ascending by ID
+// Nodes exposes the members of the current view, ascending by ID
 // (read-only use: stats inspection).
 func (c *Cluster) Nodes() []*node.Node { return c.liveNodes() }
 

@@ -360,7 +360,7 @@ func TestTrackedRecipesExactWithUntrackedItems(t *testing.T) {
 	for _, r := range refsA {
 		alive := false
 		for _, n := range c.Nodes() {
-			if n.Engine().RefCount(r.FP) > 0 {
+			if n.RefCount(r.FP) > 0 {
 				alive = true
 			}
 		}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -35,6 +34,20 @@ func backupTracked(t *testing.T, c *Cluster, id uint64, refs []core.ChunkRef) []
 		t.Fatal(err)
 	}
 	return append([]director.ChunkEntry(nil), c.Default().ItemPlacements()...)
+}
+
+// grow registers node id and hands the routing layer the next epoch
+// with it joined, as the director's commit would.
+func grow(t *testing.T, c *Cluster, id int) int {
+	t.Helper()
+	if err := c.AddNode(id); err != nil {
+		t.Fatal(err)
+	}
+	m := c.Membership()
+	if err := c.SetMembership(core.NewMembership(m.Epoch+1, append(m.Nodes, id))); err != nil {
+		t.Fatal(err)
+	}
+	return id
 }
 
 func elasticCluster(t *testing.T, n int) *Cluster {
@@ -79,11 +92,9 @@ func TestRoutingStabilityOnGrowth(t *testing.T) {
 	physBefore := c.PhysicalBytes()
 	logical := c.Stats().LogicalBytes
 
-	if _, err := c.AddNode(); err != nil {
-		t.Fatal(err)
-	}
+	grow(t, c, n)
 	if got := c.Membership(); got.Epoch != 2 || got.Len() != n+1 {
-		t.Fatalf("membership after AddNode = %+v", got)
+		t.Fatalf("membership after growth = %+v", got)
 	}
 
 	// Re-backup identical content under fresh item IDs.
@@ -136,10 +147,7 @@ func TestAddNodeReceivesNewData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	id, err := c.AddNode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := grow(t, c, 2)
 	for i := 0; i < 24; i++ {
 		if err := c.BackupItem(uint64(100+i), membershipItem(int64(500+i), 16)); err != nil {
 			t.Fatal(err)
@@ -157,30 +165,36 @@ func TestAddNodeReceivesNewData(t *testing.T) {
 	}
 }
 
-// TestMembershipGuards: baselines refuse membership changes loudly, and
-// the last member can be neither removed nor killed.
+// TestMembershipGuards: the routing layer follows only memberships
+// whose every node is registered, registers an ID once, and drops only
+// a node outside the membership; a refused change leaves the view as it
+// was.
 func TestMembershipGuards(t *testing.T) {
-	c, err := New(Config{N: 2, Scheme: router.Stateless})
+	c, err := New(Config{N: 2, Scheme: router.Sigma})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.AddNode(); err == nil {
-		t.Fatal("AddNode must require the Sigma scheme")
+	before := c.Membership()
+	if err := c.SetMembership(core.NewMembership(2, []int{0, 1, 2})); err == nil {
+		t.Fatal("SetMembership must refuse an unregistered member")
 	}
-
-	c2, err := New(Config{N: 2, Scheme: router.Sigma})
-	if err != nil {
+	if err := c.AddNode(1); err == nil {
+		t.Fatal("AddNode must refuse an ID already registered")
+	}
+	if err := c.DropNode(1); err == nil {
+		t.Fatal("DropNode must refuse a member")
+	}
+	if got := c.Membership(); got.Epoch != before.Epoch || got.Len() != before.Len() {
+		t.Fatalf("a refused change moved the view: %+v → %+v", before, got)
+	}
+	if err := c.SetMembership(core.NewMembership(2, []int{0})); err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	if err := c2.RemoveMember(context.Background(), 0); err != nil {
+	if err := c.DropNode(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.RemoveMember(context.Background(), 1); err == nil {
-		t.Fatal("removing the last member must fail")
-	}
-	if err := c2.KillNode(1); err == nil {
-		t.Fatal("killing the last member must fail")
+	if err := c.KillNode(1); err == nil {
+		t.Fatal("KillNode must refuse an unregistered node")
 	}
 }

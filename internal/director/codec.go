@@ -86,6 +86,7 @@ func appendDirResponse(b []byte, resp *dirResponse) []byte {
 	}
 	b = wire.AppendU64(b, resp.Members.Epoch)
 	b = appendNodeInfos(b, resp.Members.Nodes)
+	b = wire.AppendI64(b, int64(resp.Members.NextID))
 	b = wire.AppendU64(b, resp.MigID)
 	b = wire.AppendU32(b, uint32(len(resp.Migs)))
 	for i := range resp.Migs {
@@ -120,6 +121,7 @@ func decodeDirResponse(body []byte) (dirResponse, error) {
 	}
 	resp.Members.Epoch = r.U64()
 	resp.Members.Nodes = decodeNodeInfos(r)
+	resp.Members.NextID = int(r.I64())
 	resp.MigID = r.U64()
 	// A Migration is at least 40 fixed bytes on the wire.
 	if n := r.Count(40); n > 0 {

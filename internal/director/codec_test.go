@@ -47,7 +47,7 @@ func sampleDirResponse() dirResponse {
 			Chunks: []ChunkEntry{{FP: dirFP(6), Size: 4096, Node: 1}},
 		},
 		Files:   []string{"/vm/disk0.img", "/vm/disk1.img"},
-		Members: MembershipInfo{Epoch: 5, Nodes: []NodeInfo{{ID: 0}, {ID: 1, Addr: "h:1"}}},
+		Members: MembershipInfo{Epoch: 5, Nodes: []NodeInfo{{ID: 0}, {ID: 1, Addr: "h:1"}}, NextID: 4},
 		MigID:   2,
 		Migs:    []Migration{{ID: 2, Path: "p", From: 1, To: 0, Start: 0, Count: 1, FPs: []fingerprint.Fingerprint{dirFP(7)}}},
 		Recipes: []Recipe{{Path: "q", Session: 78, Gen: 1}},
@@ -79,7 +79,7 @@ func TestDirResponseRoundTrip(t *testing.T) {
 	if re := appendDirResponse(nil, &got); !bytes.Equal(re, enc) {
 		t.Fatal("director response did not survive the round trip")
 	}
-	if got.Err != resp.Err || len(got.Files) != 2 || got.Members.Epoch != 5 {
+	if got.Err != resp.Err || len(got.Files) != 2 || got.Members.Epoch != 5 || got.Members.NextID != 4 {
 		t.Fatalf("decoded response mismatch: %+v", got)
 	}
 }

@@ -1,11 +1,14 @@
 // Membership and migration metadata: the MEMBERS journal next to
 // RECIPES.
 //
-// The director is the cluster's source of truth for which nodes are
+// The director is the cluster's only authority for which nodes are
 // live. Membership is versioned by an epoch: every AddNode/RemoveNode
 // commits a new epoch record — the full member list, fsynced — to the
 // MEMBERS journal, and in-flight backup sessions pin the epoch they
-// started on so no session ever observes a torn member list.
+// started on so no session ever observes a torn member list. The
+// director also allocates node IDs: a joining node takes NextID, and an
+// ID that left the membership is never admitted again, so a recipe
+// entry naming a departed node can never be mistaken for a live copy.
 //
 // The same journal carries super-chunk migration transactions: a "mig"
 // record (fsynced) opens one segment's move before any byte lands on
@@ -51,6 +54,19 @@ type MembershipInfo struct {
 	Epoch uint64
 	// Nodes lists the live nodes, ascending by ID.
 	Nodes []NodeInfo
+	// NextID is the ID the next joining node takes: one above the
+	// highest ID any epoch has held.
+	NextID int
+}
+
+// contains reports whether id is a live node of m.
+func (m MembershipInfo) contains(id int) bool {
+	for _, n := range m.Nodes {
+		if n.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // IDs returns the live node IDs, ascending.
@@ -106,7 +122,10 @@ type ClusterMeta interface {
 	// match the current epoch, or the change fails with a wire-surviving
 	// ErrConflict. The compare-and-swap is what keeps two admin clients
 	// from silently overwriting each other's membership changes (and
-	// from re-allocating a just-taken node ID).
+	// from both taking the same NextID). A joining node must take an ID
+	// at or above NextID: an ID that is not a current member and lies
+	// below NextID may have belonged to a departed node, so admitting it
+	// fails with ErrConflict too — node IDs are never reused.
 	SetMembers(ctx context.Context, ifEpoch uint64, nodes []NodeInfo) (MembershipInfo, error)
 	// BeginMigration journals (fsynced) the opening of one migration
 	// transaction and returns its ID.
@@ -157,7 +176,7 @@ func (d *Director) openMembers(dir string) error {
 		}
 		switch rec.T {
 		case "epoch":
-			d.members = MembershipInfo{Epoch: rec.Epoch, Nodes: rec.Nodes}
+			d.members = MembershipInfo{Epoch: rec.Epoch, Nodes: rec.Nodes, NextID: nextIDAfter(d.members.NextID, rec.Nodes)}
 		case "mig":
 			m := Migration{ID: rec.ID, Path: rec.Path, From: rec.From, To: rec.To,
 				Start: rec.Start, Count: rec.Count}
@@ -219,7 +238,7 @@ func (d *Director) Members(ctx context.Context) (MembershipInfo, error) {
 }
 
 func (d *Director) membersLocked() MembershipInfo {
-	out := MembershipInfo{Epoch: d.members.Epoch, Nodes: make([]NodeInfo, len(d.members.Nodes))}
+	out := MembershipInfo{Epoch: d.members.Epoch, Nodes: make([]NodeInfo, len(d.members.Nodes)), NextID: d.members.NextID}
 	copy(out.Nodes, d.members.Nodes)
 	return out
 }
@@ -227,7 +246,8 @@ func (d *Director) membersLocked() MembershipInfo {
 // SetMembers implements ClusterMeta: the next epoch is journaled
 // (fsynced) before it becomes visible, and only if ifEpoch still names
 // the current epoch — the loser of a concurrent membership change gets
-// ErrConflict, never a silent overwrite.
+// ErrConflict, never a silent overwrite — and no node re-joins under a
+// departed ID.
 func (d *Director) SetMembers(ctx context.Context, ifEpoch uint64, nodes []NodeInfo) (MembershipInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return MembershipInfo{}, err
@@ -242,11 +262,18 @@ func (d *Director) SetMembers(ctx context.Context, ifEpoch uint64, nodes []NodeI
 			"director: membership moved to epoch %d while the caller planned against %d: %w",
 			d.members.Epoch, ifEpoch, sderr.ErrConflict)
 	}
+	for _, n := range sorted {
+		if n.ID < d.members.NextID && !d.members.contains(n.ID) {
+			return MembershipInfo{}, fmt.Errorf(
+				"director: node ID %d is not a member and below the next unused ID %d; node IDs are never reused: %w",
+				n.ID, d.members.NextID, sderr.ErrConflict)
+		}
+	}
 	// The epoch counts node-set generations: only a change to the member
 	// IDs bumps it. A pure re-addressing (servers restarting on new
 	// ports) is journaled at the same epoch, so a never-grown cluster
 	// keeps the paper-exact epoch-1 candidate width forever.
-	next := MembershipInfo{Epoch: d.members.Epoch, Nodes: sorted}
+	next := MembershipInfo{Epoch: d.members.Epoch, Nodes: sorted, NextID: nextIDAfter(d.members.NextID, sorted)}
 	if !sameIDs(d.members.Nodes, sorted) {
 		next.Epoch++
 	}
@@ -255,6 +282,17 @@ func (d *Director) SetMembers(ctx context.Context, ifEpoch uint64, nodes []NodeI
 	}
 	d.members = next
 	return d.membersLocked(), nil
+}
+
+// nextIDAfter returns the next unused node ID once nodes have been
+// members: one above the highest ID held so far.
+func nextIDAfter(next int, nodes []NodeInfo) int {
+	for _, n := range nodes {
+		if n.ID >= next {
+			next = n.ID + 1
+		}
+	}
+	return next
 }
 
 // sameIDs reports whether two sorted member lists name the same node

@@ -159,3 +159,69 @@ func TestMembershipOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNodeIDsNeverReused: the director allocates node IDs. Once node 2
+// leaves, NextID stays 3 — in process, after a durable re-open (rebuilt
+// from the MEMBERS journal's epoch records) and over the wire — and
+// re-admitting 2 fails with a conflict that survives the wire.
+func TestNodeIDsNeverReused(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	d, err := OpenAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := d.Members(ctx); m.NextID != 0 {
+		t.Fatalf("fresh director NextID = %d, want 0", m.NextID)
+	}
+	three := []NodeInfo{{ID: 0}, {ID: 1}, {ID: 2}}
+	if _, err := d.SetMembers(ctx, 0, three); err != nil {
+		t.Fatal(err)
+	}
+	m, err := d.SetMembers(ctx, 1, three[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NextID != 3 {
+		t.Fatalf("NextID after {0,1,2} → {0,1} = %d, want 3", m.NextID)
+	}
+	if _, err := d.SetMembers(ctx, 2, three); !errors.Is(err, sderr.ErrConflict) {
+		t.Fatalf("re-admitting node 2 = %v, want ErrConflict", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := OpenAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if m, err := d2.Members(ctx); err != nil || m.Epoch != 2 || m.NextID != 3 {
+		t.Fatalf("re-opened membership = %+v (%v), want epoch 2, NextID 3", m, err)
+	}
+	if _, err := d2.SetMembers(ctx, 2, three); !errors.Is(err, sderr.ErrConflict) {
+		t.Fatalf("re-admitting node 2 after re-open = %v, want ErrConflict", err)
+	}
+
+	svc, err := Serve(d2, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	r, err := DialRemote(svc.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if m, err := r.Members(ctx); err != nil || m.NextID != 3 {
+		t.Fatalf("Members over TCP = %+v (%v), want NextID 3", m, err)
+	}
+	if _, err := r.SetMembers(ctx, 2, three); !errors.Is(err, sderr.ErrConflict) {
+		t.Fatalf("re-admitting node 2 over TCP = %v, want ErrConflict", err)
+	}
+	m, err = r.SetMembers(ctx, 2, []NodeInfo{{ID: 0}, {ID: 1}, {ID: 3}})
+	if err != nil || m.Epoch != 3 || m.NextID != 4 {
+		t.Fatalf("admitting NextID over TCP = %+v (%v), want epoch 3, NextID 4", m, err)
+	}
+}

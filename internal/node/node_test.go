@@ -276,7 +276,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.ReadCacheBytes <= 0 {
 		t.Fatal("store defaults must be echoed")
 	}
-	if got := n.Engine().Config().Shards; got != store.DefaultShards {
+	if got := cfg.Shards; got != store.DefaultShards {
 		t.Fatalf("store shards = %d, want the default %d", got, store.DefaultShards)
 	}
 }

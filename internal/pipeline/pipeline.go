@@ -39,8 +39,6 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 type Config struct {
 	// Workers is the fingerprint worker-pool size (default GOMAXPROCS).
 	Workers int
-	// Depth is the per-stage channel depth (default 2×Workers).
-	Depth int
 }
 
 // WithDefaults fills zero fields with their defaults.
@@ -48,11 +46,11 @@ func (c Config) WithDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = DefaultWorkers()
 	}
-	if c.Depth <= 0 {
-		c.Depth = 2 * c.Workers
-	}
 	return c
 }
+
+// Depth is the per-stage channel depth: two items per worker.
+func (c Config) Depth() int { return 2 * c.Workers }
 
 // Group runs the goroutines of one pipeline with first-error semantics:
 // the first goroutine to return a non-nil error (or an explicit Fail)

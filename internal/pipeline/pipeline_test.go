@@ -266,11 +266,11 @@ func TestGroupFirstErrorWins(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.Workers < 1 || c.Depth < 2 {
+	if c.Workers < 1 || c.Depth() < 2 {
 		t.Fatalf("bad defaults: %+v", c)
 	}
 	c = Config{Workers: 3}.WithDefaults()
-	if c.Workers != 3 || c.Depth != 6 {
+	if c.Workers != 3 || c.Depth() != 6 {
 		t.Fatalf("bad derived depth: %+v", c)
 	}
 }

@@ -148,15 +148,15 @@ type Router interface {
 	Route(sc *core.SuperChunk, v View) Decision
 }
 
+// DefaultSampleRate is Stateful routing's fingerprint sampling
+// denominator: the paper samples 1/32 of chunk fingerprints.
+const DefaultSampleRate = 32
+
 // New constructs a router for the scheme with the given handprint size k
-// (used by Sigma) and stateful sampling rate denominator (used by
-// Stateful; the paper samples 1/32 of chunk fingerprints).
-func New(s Scheme, k, sampleRate int) (Router, error) {
+// (used by Sigma).
+func New(s Scheme, k int) (Router, error) {
 	if k <= 0 {
 		k = core.DefaultHandprintSize
-	}
-	if sampleRate <= 0 {
-		sampleRate = 32
 	}
 	switch s {
 	case Sigma:
@@ -164,7 +164,7 @@ func New(s Scheme, k, sampleRate int) (Router, error) {
 	case Stateless:
 		return &StatelessRouter{}, nil
 	case Stateful:
-		return &StatefulRouter{SampleRate: sampleRate}, nil
+		return &StatefulRouter{SampleRate: DefaultSampleRate}, nil
 	case ExtremeBinning:
 		return &EBRouter{}, nil
 	case ChunkDHT:
@@ -342,7 +342,8 @@ func (r *StatelessRouter) Route(sc *core.SuperChunk, v View) Decision {
 // for load balance. Its pre-routing message count grows linearly with the
 // cluster size — the scalability weakness Fig. 7 exposes.
 type StatefulRouter struct {
-	// SampleRate subsamples chunk fingerprints 1/SampleRate for the bid.
+	// SampleRate subsamples chunk fingerprints 1/SampleRate for the bid
+	// (default DefaultSampleRate).
 	SampleRate int
 	// UseSummaries pre-filters the 1-to-all fan-out through the view's
 	// bid summaries, probing each node with the super-chunk's handprint
@@ -364,7 +365,7 @@ func (r *StatefulRouter) Name() string { return Stateful.String() }
 func (r *StatefulRouter) Route(sc *core.SuperChunk, v View) Decision {
 	rate := r.SampleRate
 	if rate <= 0 {
-		rate = 32
+		rate = DefaultSampleRate
 	}
 	fps := sc.Fingerprints()
 	sample := make([]fingerprint.Fingerprint, 0, len(fps)/rate+1)

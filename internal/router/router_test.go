@@ -69,7 +69,7 @@ func TestSchemeStringAndParse(t *testing.T) {
 
 func TestNewAllSchemes(t *testing.T) {
 	for _, s := range []Scheme{Sigma, Stateless, Stateful, ExtremeBinning, ChunkDHT} {
-		r, err := New(s, 0, 0)
+		r, err := New(s, 0)
 		if err != nil {
 			t.Fatalf("New(%v): %v", s, err)
 		}
@@ -77,7 +77,7 @@ func TestNewAllSchemes(t *testing.T) {
 			t.Errorf("router name %q != scheme %q", r.Name(), s.String())
 		}
 	}
-	if _, err := New(Scheme(99), 8, 32); err == nil {
+	if _, err := New(Scheme(99), 8); err == nil {
 		t.Fatal("unknown scheme should error")
 	}
 }

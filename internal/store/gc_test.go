@@ -307,7 +307,7 @@ func TestGCSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestGCSurvivesReopen(t *testing.T) {
 	}
 
 	// And once more: the retire records replay cleanly.
-	r2, err := Open(cfg)
+	r2, err := reopen(cfg)
 	if err != nil {
 		t.Fatalf("open after compaction: %v", err)
 	}
@@ -383,7 +383,7 @@ func TestCompactCrashAtEveryStage(t *testing.T) {
 			}
 			// Crash: abandon e without Close.
 
-			r, err := Open(cfg)
+			r, err := reopen(cfg)
 			if err != nil {
 				t.Fatalf("open after crash at %s: %v", stage, err)
 			}
@@ -453,7 +453,7 @@ func TestOpenRejectsUnknownManifestRecords(t *testing.T) {
 	t.Run("retire of unsealed container", func(t *testing.T) {
 		dir, cfg := newStore(t)
 		appendLine(t, dir, `{"t":"retire","cid":99}`)
-		if _, err := Open(cfg); err == nil {
+		if _, err := reopen(cfg); err == nil {
 			t.Fatal("Open must reject a retire record for a container the journal never sealed")
 		}
 	})
@@ -461,7 +461,7 @@ func TestOpenRejectsUnknownManifestRecords(t *testing.T) {
 		dir, cfg := newStore(t)
 		ghost := fingerprint.Sum([]byte("never stored"))
 		appendLine(t, dir, fmt.Sprintf(`{"t":"decref","fps":[%q],"ns":[1]}`, ghost.String()))
-		if _, err := Open(cfg); err == nil {
+		if _, err := reopen(cfg); err == nil {
 			t.Fatal("Open must reject a decref record for chunk references the store never held")
 		}
 	})
@@ -471,14 +471,14 @@ func TestOpenRejectsUnknownManifestRecords(t *testing.T) {
 		rng := rand.New(rand.NewSource(46))
 		sc := makeSC(rng, 4, true)
 		appendLine(t, dir, fmt.Sprintf(`{"t":"decref","fps":[%q],"ns":[2]}`, sc.Chunks[0].FP.String()))
-		if _, err := Open(cfg); err == nil {
+		if _, err := reopen(cfg); err == nil {
 			t.Fatal("Open must reject a decref that drops more references than the journal granted")
 		}
 	})
 	t.Run("unknown record type", func(t *testing.T) {
 		dir, cfg := newStore(t)
 		appendLine(t, dir, `{"t":"frobnicate","cid":1}`)
-		if _, err := Open(cfg); err == nil {
+		if _, err := reopen(cfg); err == nil {
 			t.Fatal("Open must reject a record of unknown type")
 		}
 	})
@@ -492,7 +492,7 @@ func TestOpenRejectsUnknownManifestRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		r, err := Open(cfg)
+		r, err := reopen(cfg)
 		if err != nil {
 			t.Fatalf("torn tail must stay tolerated: %v", err)
 		}
@@ -735,7 +735,7 @@ func TestOpenMigratesLegacyManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -759,7 +759,7 @@ func TestOpenMigratesLegacyManifest(t *testing.T) {
 	}
 	// The migration journaled the seeded refs: a second open replays them
 	// as ordinary records and deletion works normally from here on.
-	r2, err := Open(cfg)
+	r2, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

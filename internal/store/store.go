@@ -16,12 +16,12 @@
 // Durability. With a Dir configured the engine is a restartable store:
 // sealed containers are spilled in the CRC32-protected SDC1 format and
 // journaled in an append-only manifest together with the representative-
-// fingerprint entries of the similarity index. Open replays the manifest,
-// reading each container file once (CRC-verified) and retaining only its
-// metadata, to rebuild the chunk index, similarity index and container
-// directory — a full stop/restart/restore lifecycle. Chunks in
-// containers not yet sealed at shutdown are not durable; Flush (or
-// Close) seals everything.
+// fingerprint entries of the similarity index. Recovery (Config.Recover)
+// replays the manifest, reading each container file once (CRC-verified)
+// and retaining only its metadata, to rebuild the chunk index,
+// similarity index and container directory — a full
+// stop/restart/restore lifecycle. Chunks in containers not yet sealed at
+// shutdown are not durable; Flush (or Close) seals everything.
 package store
 
 import (
@@ -60,10 +60,11 @@ const DefaultCompactThreshold = 0.5
 // backup resends the payload. Wraps sderr.ErrChunkVanished.
 var ErrChunkVanished = fmt.Errorf("store: %w", sderr.ErrChunkVanished)
 
-// Config parameterizes a storage engine.
+// Config parameterizes a storage engine — and with it the deduplication
+// node that owns it.
 type Config struct {
-	// NodeID identifies the owning node in error messages.
-	NodeID int
+	// ID is the owning node's cluster identity.
+	ID int
 	// HandprintSize is k, the representative fingerprints per super-chunk.
 	HandprintSize int
 	// SimIndexLocks is the similarity-index lock-stripe count (Fig. 4b).
@@ -73,8 +74,6 @@ type Config struct {
 	CacheContainers int
 	// ContainerCapacity is the container payload capacity in bytes.
 	ContainerCapacity int
-	// ExpectedChunks sizes the on-disk chunk index Bloom filter.
-	ExpectedChunks int
 	// DisableChunkIndex turns off the traditional chunk index, leaving
 	// only similarity-index + cache dedup (approximate; Fig. 5b mode).
 	DisableChunkIndex bool
@@ -85,6 +84,9 @@ type Config struct {
 	// Dir, when set, makes the engine durable: sealed containers are
 	// spilled there and a manifest journals recovery state.
 	Dir string
+	// Recover re-opens the engine from Dir, replaying the manifest to
+	// restore the pre-shutdown state. Requires Dir.
+	Recover bool
 	// Shards is the fingerprint lock-stripe count of the store path,
 	// rounded up to a power of two. 1 degenerates to a single store lock
 	// (the pre-engine behavior, kept for A/B benchmarking).
@@ -116,9 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.ContainerCapacity <= 0 {
 		c.ContainerCapacity = container.DefaultCapacity
 	}
-	if c.ExpectedChunks <= 0 {
-		c.ExpectedChunks = 1 << 20
-	}
 	if c.Shards <= 0 {
 		c.Shards = DefaultShards
 	}
@@ -131,6 +130,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// expectedChunks sizes the on-disk chunk index Bloom filter.
+const expectedChunks = 1 << 20
+
 // Stats is a snapshot of the engine's deduplication counters.
 type Stats struct {
 	LogicalBytes  int64  // bytes presented for backup
@@ -141,6 +143,14 @@ type Stats struct {
 	CacheHits     uint64 // duplicate verdicts served from the fp cache
 	DiskIndexHits uint64 // duplicate verdicts served from the chunk index
 	Prefetches    uint64 // container metadata prefetches
+}
+
+// DedupRatio returns logical/physical (0 when nothing is stored).
+func (s Stats) DedupRatio() float64 {
+	if s.PhysicalBytes == 0 {
+		return 0
+	}
+	return float64(s.LogicalBytes) / float64(s.PhysicalBytes)
 }
 
 // Result describes the outcome of storing one super-chunk.
@@ -240,17 +250,17 @@ type Engine struct {
 func newEngine(cfg Config) (*Engine, error) {
 	sim, err := simindex.New(cfg.SimIndexLocks)
 	if err != nil {
-		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
+		return nil, fmt.Errorf("store node %d: %w", cfg.ID, err)
 	}
 	cache, err := fpcache.New(cfg.CacheContainers)
 	if err != nil {
-		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
+		return nil, fmt.Errorf("store node %d: %w", cfg.ID, err)
 	}
 	var cidx *chunkindex.Index
 	if !cfg.DisableChunkIndex {
-		cidx, err = chunkindex.New(cfg.ExpectedChunks)
+		cidx, err = chunkindex.New(expectedChunks)
 		if err != nil {
-			return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
+			return nil, fmt.Errorf("store node %d: %w", cfg.ID, err)
 		}
 	}
 	n := 1
@@ -296,31 +306,28 @@ func (e *Engine) managerOpts() []container.Option {
 	return opts
 }
 
-// New creates a fresh storage engine. With cfg.Dir set the engine is
-// durable from the first seal. A Dir that already holds durable state is
-// refused: silently starting fresh would re-allocate container IDs from
-// 1 and overwrite the previous session's files — use Open to recover, or
-// remove the directory to discard it.
+// New creates a storage engine. With cfg.Dir set the engine is durable
+// from the first seal. With cfg.Recover set it re-opens cfg.Dir by
+// replaying its manifest: sealed containers are re-read (metadata and
+// CRC verified) to rebuild the chunk index and container directory, and
+// journaled representative-fingerprint entries rebuild the similarity
+// index; a container failing its CRC32 check aborts with an error
+// wrapping container.ErrCorrupt, and an empty or absent manifest yields
+// a fresh engine. Without Recover, a Dir that already holds durable
+// state is refused: silently starting fresh would re-allocate container
+// IDs from 1 and overwrite the previous session's files — recover it,
+// or remove the directory to discard it.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Dir != "" {
+	if cfg.Recover && cfg.Dir == "" {
+		return nil, errors.New("store: Recover requires a durable Dir")
+	}
+	if cfg.Dir != "" && !cfg.Recover {
 		if fi, err := os.Stat(filepath.Join(cfg.Dir, ManifestName)); err == nil && fi.Size() > 0 {
 			return nil, fmt.Errorf(
 				"store node %d: %s already holds durable state; open with Recover or remove the directory",
-				cfg.NodeID, cfg.Dir)
+				cfg.ID, cfg.Dir)
 		}
 	}
-	e, err := create(cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.startCompactor()
-	return e, nil
-}
-
-// create builds an engine over cfg.Dir without the prior-state guard and
-// without starting the background compactor (Open starts it only after
-// replay).
-func create(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	e, err := newEngine(cfg)
 	if err != nil {
@@ -328,40 +335,24 @@ func create(cfg Config) (*Engine, error) {
 	}
 	if cfg.Dir != "" {
 		if e.man, err = openManifest(cfg.Dir); err != nil {
-			return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
+			return nil, fmt.Errorf("store node %d: %w", cfg.ID, err)
 		}
 	}
 	if e.containers, err = container.NewManager(e.managerOpts()...); err != nil {
-		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
+		return nil, fmt.Errorf("store node %d: %w", cfg.ID, err)
 	}
+	if cfg.Recover {
+		recs, err := readManifest(cfg.Dir)
+		if err == nil {
+			err = e.replay(recs)
+		}
+		if err != nil {
+			e.man.close()
+			return nil, fmt.Errorf("store node %d: %w", cfg.ID, err)
+		}
+	}
+	e.startCompactor()
 	return e, nil
-}
-
-// Open recovers a durable storage engine from cfg.Dir by replaying its
-// manifest: sealed containers are re-read (metadata and CRC verified) to
-// rebuild the chunk index and container directory, and journaled
-// representative-fingerprint entries rebuild the similarity index. A
-// container failing its CRC32 check aborts the open with an error wrapping
-// container.ErrCorrupt. An empty or absent manifest yields a fresh engine.
-func Open(cfg Config) (*Engine, error) {
-	if cfg.Dir == "" {
-		return nil, errors.New("store: Open requires a durable Dir")
-	}
-	eng, err := create(cfg)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := readManifest(cfg.Dir)
-	if err != nil {
-		eng.man.close()
-		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
-	}
-	if err := eng.replay(recs); err != nil {
-		eng.man.close()
-		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
-	}
-	eng.startCompactor()
-	return eng, nil
 }
 
 // Config returns the engine's effective configuration.
@@ -447,7 +438,7 @@ func (e *Engine) StoreSuperChunk(stream string, sc *core.SuperChunk) (Result, er
 	}
 	if e.man != nil && len(fps) > 0 {
 		if err := e.man.bufferRFPs(fps, cids); err != nil {
-			return res, fmt.Errorf("store node %d: %w", e.cfg.NodeID, err)
+			return res, fmt.Errorf("store node %d: %w", e.cfg.ID, err)
 		}
 	}
 	// Journal the chunk references this super-chunk took (each chunk
@@ -456,7 +447,7 @@ func (e *Engine) StoreSuperChunk(stream string, sc *core.SuperChunk) (Result, er
 	if e.man != nil && e.gcEnabled() {
 		refFPs, refNs := aggregateRefs(sc.Chunks)
 		if err := e.man.bufferRefs(refFPs, refNs); err != nil {
-			return res, fmt.Errorf("store node %d: %w", e.cfg.NodeID, err)
+			return res, fmt.Errorf("store node %d: %w", e.cfg.ID, err)
 		}
 	}
 
@@ -537,11 +528,11 @@ func (e *Engine) lookupOrAppend(stream string, ch core.ChunkRef, local map[finge
 		// backup honest; storing a payload-less chunk would corrupt its
 		// restore. (Trace-driven engines, which never carry payloads, are
 		// exempt — they only ever measure dedup state.)
-		return 0, false, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, ch.FP.Short(), ErrChunkVanished)
+		return 0, false, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.ID, ch.FP.Short(), ErrChunkVanished)
 	}
 	loc, err := e.containers.Append(stream, ch.FP, ch.Data, ch.Size)
 	if err != nil {
-		return 0, false, fmt.Errorf("store node %d: store chunk: %w", e.cfg.NodeID, err)
+		return 0, false, fmt.Errorf("store node %d: store chunk: %w", e.cfg.ID, err)
 	}
 	if e.cidx != nil {
 		e.cidx.Insert(ch.FP, loc)
@@ -594,7 +585,7 @@ func (e *Engine) StoreFileInBin(stream string, binKey fingerprint.Fingerprint, s
 			continue
 		}
 		if _, err := e.containers.Append(stream, ch.FP, ch.Data, ch.Size); err != nil {
-			return res, fmt.Errorf("store node %d: store bin chunk: %w", e.cfg.NodeID, err)
+			return res, fmt.Errorf("store node %d: store bin chunk: %w", e.cfg.ID, err)
 		}
 		res.UniqueChunks++
 		res.UniqueBytes += int64(ch.Size)
@@ -659,7 +650,7 @@ const maxStaleLocReads = 2
 // terminates with the compactor's last rewrite.
 func (e *Engine) ReadChunk(fp fingerprint.Fingerprint) ([]byte, error) {
 	if e.cidx == nil {
-		return nil, fmt.Errorf("store node %d: restore requires the chunk index", e.cfg.NodeID)
+		return nil, fmt.Errorf("store node %d: restore requires the chunk index", e.cfg.ID)
 	}
 	var lastErr error
 	var lastLoc container.Loc
@@ -667,13 +658,13 @@ func (e *Engine) ReadChunk(fp fingerprint.Fingerprint) ([]byte, error) {
 	for {
 		loc, ok := e.cidx.Lookup(fp)
 		if !ok {
-			return nil, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, fp.Short(), container.ErrNotFound)
+			return nil, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.ID, fp.Short(), container.ErrNotFound)
 		}
 		if lastErr != nil {
 			if loc == lastLoc {
 				stale++
 				if stale >= maxStaleLocReads {
-					return nil, fmt.Errorf("store node %d: %w", e.cfg.NodeID, lastErr)
+					return nil, fmt.Errorf("store node %d: %w", e.cfg.ID, lastErr)
 				}
 			} else {
 				stale = 0
@@ -688,7 +679,7 @@ func (e *Engine) ReadChunk(fp fingerprint.Fingerprint) ([]byte, error) {
 			return data, nil
 		}
 		if !errors.Is(err, container.ErrNotFound) && !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("store node %d: %w", e.cfg.NodeID, err)
+			return nil, fmt.Errorf("store node %d: %w", e.cfg.ID, err)
 		}
 		lastErr = err
 	}
@@ -704,7 +695,7 @@ func (e *Engine) ReadChunk(fp fingerprint.Fingerprint) ([]byte, error) {
 // per-chunk retry of ReadChunk rather than failing the batch.
 func (e *Engine) ReadChunkBatch(fps []fingerprint.Fingerprint) (out [][]byte, idx []int, err error) {
 	if e.cidx == nil {
-		return nil, nil, fmt.Errorf("store node %d: restore requires the chunk index", e.cfg.NodeID)
+		return nil, nil, fmt.Errorf("store node %d: restore requires the chunk index", e.cfg.ID)
 	}
 	type want struct {
 		loc container.Loc
@@ -714,7 +705,7 @@ func (e *Engine) ReadChunkBatch(fps []fingerprint.Fingerprint) (out [][]byte, id
 	for i, fp := range fps {
 		loc, ok := e.cidx.Lookup(fp)
 		if !ok {
-			return nil, nil, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, fp.Short(), container.ErrNotFound)
+			return nil, nil, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.ID, fp.Short(), container.ErrNotFound)
 		}
 		wants[i] = want{loc, i}
 	}
@@ -742,7 +733,7 @@ func (e *Engine) ReadChunkBatch(fps []fingerprint.Fingerprint) (out [][]byte, id
 		datas, rerr := e.containers.ReadChunks(cid, locs)
 		if rerr != nil {
 			if !errors.Is(rerr, container.ErrNotFound) && !errors.Is(rerr, os.ErrNotExist) {
-				return nil, nil, fmt.Errorf("store node %d: %w", e.cfg.NodeID, rerr)
+				return nil, nil, fmt.Errorf("store node %d: %w", e.cfg.ID, rerr)
 			}
 			// The container vanished under us (compaction retired it):
 			// fall back to per-chunk reads, which re-resolve through the
@@ -874,7 +865,8 @@ func (e *Engine) SealStream(stream string) error {
 }
 
 // Close stops the background compactor, flushes the engine and releases
-// the manifest. A closed durable engine can be reopened with Open.
+// the manifest. A closed durable engine can be re-opened with
+// Config.Recover.
 func (e *Engine) Close() error {
 	e.stopCompactor()
 	err := e.Flush()
@@ -900,10 +892,10 @@ func (e *Engine) Close() error {
 // would eventually free live chunks.
 func (e *Engine) DecRef(fps []fingerprint.Fingerprint, ns []int64) error {
 	if !e.gcEnabled() {
-		return fmt.Errorf("store node %d: deletion requires the chunk index", e.cfg.NodeID)
+		return fmt.Errorf("store node %d: deletion requires the chunk index", e.cfg.ID)
 	}
 	if len(ns) != len(fps) {
-		return fmt.Errorf("store node %d: decref: %d fingerprints, %d counts", e.cfg.NodeID, len(fps), len(ns))
+		return fmt.Errorf("store node %d: decref: %d fingerprints, %d counts", e.cfg.ID, len(fps), len(ns))
 	}
 	e.decrefMu.Lock()
 	defer e.decrefMu.Unlock()
@@ -912,7 +904,7 @@ func (e *Engine) DecRef(fps []fingerprint.Fingerprint, ns []int64) error {
 	// batch that validates here cannot under-run when applied below.
 	for i, fp := range fps {
 		if ns[i] <= 0 {
-			return fmt.Errorf("store node %d: decref: non-positive count %d for %s", e.cfg.NodeID, ns[i], fp.Short())
+			return fmt.Errorf("store node %d: decref: non-positive count %d for %s", e.cfg.ID, ns[i], fp.Short())
 		}
 		sh := e.shardFor(fp)
 		sh.mu.Lock()
@@ -920,12 +912,12 @@ func (e *Engine) DecRef(fps []fingerprint.Fingerprint, ns []int64) error {
 		sh.mu.Unlock()
 		if have < ns[i] {
 			return fmt.Errorf("store node %d: decref: chunk %s has %d references, asked to drop %d",
-				e.cfg.NodeID, fp.Short(), have, ns[i])
+				e.cfg.ID, fp.Short(), have, ns[i])
 		}
 	}
 	if e.man != nil {
 		if err := e.man.appendDecref(fps, ns); err != nil {
-			return fmt.Errorf("store node %d: %w", e.cfg.NodeID, err)
+			return fmt.Errorf("store node %d: %w", e.cfg.ID, err)
 		}
 	}
 	for i, fp := range fps {
@@ -990,8 +982,18 @@ func (e *Engine) GCStats() GCStats {
 	}
 }
 
-// RefCount reports the current reference count of a chunk (tests and
-// diagnostics).
+// RefCounts reports the current reference count of each chunk — the
+// migration recovery probe: reconciliation compares these against the
+// recipe-derived expected counts and releases exactly the surplus.
+func (e *Engine) RefCounts(fps []fingerprint.Fingerprint) []int64 {
+	out := make([]int64, len(fps))
+	for i, fp := range fps {
+		out[i] = e.RefCount(fp)
+	}
+	return out
+}
+
+// RefCount reports the current reference count of a chunk.
 func (e *Engine) RefCount(fp fingerprint.Fingerprint) int64 {
 	sh := e.shardFor(fp)
 	sh.mu.Lock()

@@ -15,6 +15,12 @@ import (
 	"sigmadedupe/internal/fingerprint"
 )
 
+// reopen recovers a durable engine from cfg.Dir.
+func reopen(cfg Config) (*Engine, error) {
+	cfg.Recover = true
+	return New(cfg)
+}
+
 // makeSC builds a super-chunk from n random 4KB chunks.
 func makeSC(rng *rand.Rand, n int, keep bool) *core.SuperChunk {
 	sc := &core.SuperChunk{}
@@ -138,7 +144,7 @@ func TestDurableOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +199,7 @@ func TestRecoveredEngineContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r1, err := Open(cfg)
+	r1, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +211,7 @@ func TestRecoveredEngineContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := Open(cfg)
+	r2, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +258,7 @@ func TestOpenDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(cfg); !errors.Is(err, container.ErrCorrupt) {
+	if _, err := reopen(cfg); !errors.Is(err, container.ErrCorrupt) {
 		t.Fatalf("Open on corrupted container: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -284,7 +290,7 @@ func TestOpenToleratesTornManifestTail(t *testing.T) {
 	}
 	f.Close()
 
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatalf("Open with torn manifest tail: %v", err)
 	}
@@ -298,7 +304,7 @@ func TestOpenToleratesTornManifestTail(t *testing.T) {
 // yields a working empty engine (first boot of a durable node).
 func TestOpenEmptyDirIsFresh(t *testing.T) {
 	cfg := Config{Dir: t.TempDir(), KeepPayloads: true}
-	e, err := Open(cfg)
+	e, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,10 +318,11 @@ func TestOpenEmptyDirIsFresh(t *testing.T) {
 	}
 }
 
-// TestOpenRequiresDir: Open without a durable directory is an error.
+// TestOpenRequiresDir: recovery without a durable directory is an
+// error.
 func TestOpenRequiresDir(t *testing.T) {
-	if _, err := Open(Config{}); err == nil {
-		t.Fatal("Open without Dir should fail")
+	if _, err := reopen(Config{}); err == nil {
+		t.Fatal("Recover without Dir should fail")
 	}
 }
 
@@ -336,7 +343,7 @@ func TestUnsealedDataNotRecovered(t *testing.T) {
 	}
 	// Simulated crash: no Flush, no Close. The manifest holds rfp records
 	// pointing at a container that was never sealed.
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatalf("Open after crash with unsealed container: %v", err)
 	}
@@ -368,7 +375,7 @@ func TestNewRefusesExistingDurableState(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New over existing durable state should be refused (would overwrite containers)")
 	}
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatalf("Open over the same state: %v", err)
 	}
@@ -402,7 +409,7 @@ func TestOpenDetectsSubstitutedContainer(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, container.FileName(1)), container.Encode(forged), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(cfg); !errors.Is(err, container.ErrCorrupt) {
+	if _, err := reopen(cfg); !errors.Is(err, container.ErrCorrupt) {
 		t.Fatalf("Open with substituted container: err = %v, want ErrCorrupt", err)
 	}
 }

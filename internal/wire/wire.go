@@ -34,7 +34,9 @@ import (
 )
 
 // Version is the current wire format version, carried in the handshake.
-const Version = 1
+// Version 2 added the next unused node ID to the director's membership
+// response.
+const Version = 2
 
 // Protocol identifiers carried in the handshake's proto byte, so that a
 // client dialing the wrong port fails fast with a typed error instead of

@@ -207,14 +207,15 @@ func newRemote(ctx context.Context, cfg RemoteConfig, dial dialFunc) (*Remote, e
 	}
 	switch {
 	case members.Epoch == 0:
-		// First contact: register the configured node set as epoch 1.
+		// First contact: register the configured node set as epoch 1,
+		// numbered from the director's next unused ID.
 		if len(cfg.Nodes) == 0 {
 			r.Close()
 			return nil, fmt.Errorf("sigmadedupe: remote backend needs at least one node address")
 		}
 		infos := make([]director.NodeInfo, len(cfg.Nodes))
 		for i, addr := range cfg.Nodes {
-			infos[i] = director.NodeInfo{ID: i, Addr: addr}
+			infos[i] = director.NodeInfo{ID: members.NextID + i, Addr: addr}
 		}
 		members, err = r.clusterMeta.SetMembers(ctx, 0, infos)
 		if errors.Is(err, ErrConflict) {
@@ -616,27 +617,37 @@ func (r *Remote) Stats(ctx context.Context) (BackendStats, error) {
 }
 
 // AddNode implements Backend: the already-running deduplication server
-// at addr joins the cluster. The director journals the new membership
-// epoch (fsynced on a durable director) before the registry applies it;
-// sessions opened after AddNode returns bid the node in, sessions
-// already open keep their pinned epoch.
+// at addr joins the cluster under the director's next unused node ID,
+// which is returned. IDs are never reused: a node that joins after
+// another died or left gets a fresh one. The director journals the new
+// membership epoch (fsynced on a durable director) before the registry
+// applies it; sessions opened after AddNode returns bid the node in,
+// sessions already open keep their pinned epoch.
 func (r *Remote) AddNode(ctx context.Context, addr string) (int, error) {
 	if addr == "" {
 		return 0, fmt.Errorf("sigmadedupe: AddNode needs the new server's address")
 	}
 	r.memberOp.Lock()
 	defer r.memberOp.Unlock()
-	_, nodes := r.reg.snapshot()
-	id := 0
-	for _, n := range nodes {
-		if n.id >= id {
-			id = n.id + 1
-		}
+	id, err := r.nextNodeID(ctx)
+	if err != nil {
+		return 0, err
 	}
 	if err := r.addMemberLocked(ctx, id, addr); err != nil {
 		return 0, err
 	}
 	return id, nil
+}
+
+// nextNodeID asks the director for the ID the next joining node takes.
+// The epoch CAS of the commit that follows catches another client
+// taking it first.
+func (r *Remote) nextNodeID(ctx context.Context) (int, error) {
+	members, err := r.clusterMeta.Members(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return members.NextID, nil
 }
 
 // addMemberLocked commits the next membership epoch with node id at
@@ -650,7 +661,7 @@ func (r *Remote) addMemberLocked(ctx context.Context, id int, addr string) error
 	infos = append(infos, director.NodeInfo{ID: id, Addr: addr})
 	// The CAS on the registry's epoch: if another client changed the
 	// membership since this backend last saw it, fail loudly instead of
-	// overwriting that change (or double-allocating the node ID). The
+	// overwriting that change (or taking the same node ID twice). The
 	// director round trip runs outside the registry lock; memberOp keeps
 	// local membership ops from interleaving.
 	members, err := r.clusterMeta.SetMembers(ctx, epoch, infos)

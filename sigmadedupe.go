@@ -172,6 +172,15 @@ type Cluster struct {
 	// nextItem numbers the backup items fed to the routing streams.
 	nextItem atomic.Uint64
 
+	// quiesce makes RemoveNode and node restarts exclusive with backups:
+	// every session's Backup and Flush hold it for reading (taken before
+	// the session mutex), RemoveNode, RestartNode and Restart for
+	// writing. KillNode does not take it — a crash waits for nothing.
+	quiesce sync.RWMutex
+	// sessions are the open sessions, whose clients RemoveNode retires.
+	sessMu   sync.Mutex
+	sessions map[*clusterSession]struct{}
+
 	// defSess is the default session backing the one-shot Backup verb,
 	// bound to the simulator's default stream for bit-compatible
 	// container attribution with earlier releases.
@@ -233,6 +242,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		algorithm: cfg.Fingerprint.internal(),
 		dir:       dir,
 		mgmt:      mgmt,
+		sessions:  make(map[*clusterSession]struct{}),
 	}
 	cfgDef := c.sessionDefaults()
 	cfgDef.name = inner.Default().Name()
@@ -295,6 +305,9 @@ func (c *Cluster) newSession(stream *cluster.Stream, cfg sessionConfig) *cluster
 		bufs:   client.NewBufPool(chunker.MaxChunkSize(cfg.chunk.Method.internal(), cfg.chunk.Size)),
 	}
 	s.pin.r, s.pin.cfg = c.mgmt, cfg
+	c.sessMu.Lock()
+	c.sessions[s] = struct{}{}
+	c.sessMu.Unlock()
 	return s
 }
 
@@ -323,6 +336,8 @@ func (c *Cluster) backupBuffered(ctx context.Context, name string, r io.Reader) 
 	if err := ctx.Err(); err != nil {
 		return &BackupError{Name: name, Stage: "chunk", Err: err}
 	}
+	c.quiesce.RLock()
+	defer c.quiesce.RUnlock()
 	ck, err := chunker.NewFixed(r, c.cfg.ChunkSize)
 	if err != nil {
 		return err
@@ -448,6 +463,8 @@ func (c *Cluster) Flush(ctx context.Context) error {
 	if err := c.defSess.flush(ctx); err != nil {
 		return err
 	}
+	c.quiesce.RLock()
+	defer c.quiesce.RUnlock()
 	return c.inner.Flush()
 }
 
@@ -459,12 +476,21 @@ func (c *Cluster) Close() error {
 	return c.inner.Close()
 }
 
-// migrationGuard rejects placement changes on configurations that
-// cannot support them: only the Sigma scheme's similarity routing is
-// membership-aware, and moving chunks needs their payloads.
-func (c *Cluster) migrationGuard() error {
+// membershipGuard rejects membership changes on the baseline schemes:
+// only the Sigma scheme's similarity routing is membership-aware.
+func (c *Cluster) membershipGuard() error {
 	if c.cfg.Scheme.internal() != router.Sigma {
 		return fmt.Errorf("sigmadedupe: membership changes require SchemeSigma (have %s)", c.cfg.Scheme)
+	}
+	return nil
+}
+
+// migrationGuard rejects placement changes on configurations that
+// cannot support them: a baseline scheme, or nodes without the
+// payloads a move needs.
+func (c *Cluster) migrationGuard() error {
+	if err := c.membershipGuard(); err != nil {
+		return err
 	}
 	if !c.cfg.KeepPayloads && c.cfg.Dir == "" {
 		return fmt.Errorf("sigmadedupe: migration requires payload-carrying nodes (KeepPayloads or Dir)")
@@ -472,10 +498,24 @@ func (c *Cluster) migrationGuard() error {
 	return nil
 }
 
+// mirrorMembership hands the routing layer the director's committed
+// membership, so routing always follows the director's epoch and IDs.
+func (c *Cluster) mirrorMembership(ctx context.Context) error {
+	m, err := c.dir.Members(context.WithoutCancel(ctx))
+	if err != nil {
+		return err
+	}
+	return c.inner.SetMembership(core.NewMembership(m.Epoch, m.IDs()))
+}
+
 // AddNode implements Backend: a fresh in-process node joins the next
-// membership epoch and its ID is returned. addr must be empty on the
-// simulator. Requires the Sigma scheme (the baselines are fixed-cluster
-// experiment modes).
+// membership epoch under the director's next unused node ID, which is
+// returned. IDs are never reused: a node that joins after another died
+// or left gets a fresh one, so recipe entries naming the departed node
+// keep reading as lost copies. New backup items route over the node
+// from here on; items in flight finish on the membership they started
+// on. addr must be empty on the simulator. Requires the Sigma scheme
+// (the baselines are fixed-cluster experiment modes).
 func (c *Cluster) AddNode(ctx context.Context, addr string) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -483,35 +523,55 @@ func (c *Cluster) AddNode(ctx context.Context, addr string) (int, error) {
 	if addr != "" {
 		return 0, fmt.Errorf("sigmadedupe: the simulator creates nodes in process; addr must be empty")
 	}
-	id, err := c.inner.AddNode()
-	if err != nil {
+	if err := c.membershipGuard(); err != nil {
 		return 0, err
 	}
 	c.mgmt.memberOp.Lock()
 	defer c.mgmt.memberOp.Unlock()
-	if err := c.mgmt.addMemberLocked(ctx, id, ""); err != nil {
+	id, err := c.mgmt.nextNodeID(ctx)
+	if err != nil {
 		return 0, err
 	}
-	return id, nil
+	if err := c.inner.AddNode(id); err != nil {
+		return 0, err
+	}
+	if err := c.mgmt.addMemberLocked(ctx, id, ""); err != nil {
+		_ = c.inner.DropNode(id)
+		return 0, err
+	}
+	return id, c.mirrorMembership(ctx)
 }
 
-// RemoveNode implements Backend: the node leaves the routing epoch (new
-// backup items stop landing on it once in-flight ones finish), every
-// super-chunk on it migrates to a surviving member under the journaled
-// commit protocol, the director's membership drops it and the emptied
-// node is closed. Pre-existing backups restore byte-identically
-// afterwards. Quiesce backup sessions first.
+// RemoveNode implements Backend: every super-chunk on the node migrates
+// to a surviving member under the journaled commit protocol, the
+// director commits a membership epoch without it, routing follows, and
+// the emptied node is closed. Pre-existing backups restore
+// byte-identically afterwards. RemoveNode is exclusive with backups: it
+// waits for every Backup and Flush in progress to return, flushes and
+// retires the client of every open session, and holds new backups off
+// until it returns. A failed drain leaves the membership — and routing —
+// as they were.
 func (c *Cluster) RemoveNode(ctx context.Context, id int) (MigrationResult, error) {
 	if err := c.migrationGuard(); err != nil {
 		return MigrationResult{}, err
 	}
-	if err := c.defSess.retire(ctx, true); err != nil {
-		return MigrationResult{}, err
+	c.quiesce.Lock()
+	defer c.quiesce.Unlock()
+	c.sessMu.Lock()
+	open := make([]*clusterSession, 0, len(c.sessions))
+	for s := range c.sessions {
+		open = append(open, s)
 	}
-	if err := c.inner.RemoveMember(ctx, id); err != nil {
-		return MigrationResult{}, err
+	c.sessMu.Unlock()
+	for _, s := range open {
+		if err := s.retire(ctx, true); err != nil {
+			return MigrationResult{}, err
+		}
 	}
 	res, err := c.mgmt.RemoveNode(ctx, id)
+	if merr := c.mirrorMembership(ctx); err == nil {
+		err = merr
+	}
 	if err != nil {
 		return res, err
 	}
@@ -538,10 +598,13 @@ func (c *Cluster) KillNode(ctx context.Context, id int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := c.inner.KillNode(id); err != nil {
+	if err := c.mgmt.KillNode(ctx, id); err != nil {
 		return err
 	}
-	if err := c.mgmt.KillNode(ctx, id); err != nil {
+	if err := c.mirrorMembership(ctx); err != nil {
+		return err
+	}
+	if err := c.inner.KillNode(id); err != nil {
 		return err
 	}
 	return c.defSess.retire(ctx, false)
@@ -595,11 +658,21 @@ func toMigrationResult(res migrate.Result) MigrationResult {
 }
 
 // RestartNode stops node i and re-opens it from its durable directory
-// (requires ClusterConfig.Dir). Quiesce backups first.
-func (c *Cluster) RestartNode(i int) error { return c.inner.RestartNode(i) }
+// (requires ClusterConfig.Dir). It waits for backups in progress and
+// holds new ones off until it returns.
+func (c *Cluster) RestartNode(i int) error {
+	c.quiesce.Lock()
+	defer c.quiesce.Unlock()
+	return c.inner.RestartNode(i)
+}
 
-// Restart bounces every node: a full cluster stop/restart/restore cycle.
-func (c *Cluster) Restart() error { return c.inner.Restart() }
+// Restart bounces every node: a full cluster stop/restart/restore cycle,
+// exclusive with backups like RestartNode.
+func (c *Cluster) Restart() error {
+	c.quiesce.Lock()
+	defer c.quiesce.Unlock()
+	return c.inner.Restart()
+}
 
 // Stats implements Backend: the deployment-independent counters.
 func (c *Cluster) Stats(ctx context.Context) (BackendStats, error) {
@@ -648,7 +721,8 @@ type clusterSession struct {
 	st     SessionStats
 
 	// mu serializes the session's backups with a membership change
-	// retiring its client from another goroutine.
+	// retiring its client from another goroutine. Backup and flush take
+	// Cluster.quiesce for reading first.
 	mu sync.Mutex
 	// pin is the session's client over in-process connections, kept on
 	// the current membership epoch like a Remote default stream.
@@ -705,6 +779,8 @@ func (s *clusterSession) backup(ctx context.Context, name string, r io.Reader) e
 	if err := tenant.ValidateBackupName(name); err != nil {
 		return &BackupError{Name: name, Stage: "chunk", Err: err}
 	}
+	s.c.quiesce.RLock()
+	defer s.c.quiesce.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cl, err := s.pin.client(ctx)
@@ -868,6 +944,8 @@ func (s *clusterSession) flush(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	s.c.quiesce.RLock()
+	defer s.c.quiesce.RUnlock()
 	if err := s.stream.Flush(); err != nil {
 		return err
 	}
@@ -885,6 +963,9 @@ func (s *clusterSession) stats() SessionStats {
 }
 
 func (s *clusterSession) close() error {
+	s.c.sessMu.Lock()
+	delete(s.c.sessions, s)
+	s.c.sessMu.Unlock()
 	s.stream.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()

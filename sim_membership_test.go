@@ -5,8 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/tenant"
@@ -319,4 +323,181 @@ func TestKillNodeKeepsUnflushedBackups(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkRoutingFollowsDirector fails unless the routing layer's
+// membership — epoch and node IDs — is the director's committed one.
+func checkRoutingFollowsDirector(t *testing.T, c *Cluster, when string) {
+	t.Helper()
+	m, err := c.dir.Members(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.inner.Membership(); got.Epoch != m.Epoch || !slices.Equal(got.Nodes, m.IDs()) {
+		t.Fatalf("%s: routing membership epoch %d %v, director epoch %d %v",
+			when, got.Epoch, got.Nodes, m.Epoch, m.IDs())
+	}
+}
+
+// TestRoutingFollowsDirectorMembership: the director is the only
+// membership authority. After every membership verb — a failed drain
+// included — routing runs on exactly the director's epoch and IDs.
+func TestRoutingFollowsDirectorMembership(t *testing.T) {
+	ctx := context.Background()
+	c, err := NewCluster(ClusterConfig{Nodes: 3, Dir: t.TempDir(), SuperChunkSize: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	contents := make([][]byte, 12)
+	for i := range contents {
+		contents[i] = make([]byte, 96<<10)
+		rand.New(rand.NewSource(int64(12000 + i))).Read(contents[i])
+		if err := c.Backup(ctx, fmt.Sprintf("/item%d", i), bytes.NewReader(contents[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkRoutingFollowsDirector(t, c, "at start")
+
+	if _, err := c.AddNode(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	checkRoutingFollowsDirector(t, c, "after AddNode")
+	if _, err := c.RemoveNode(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	checkRoutingFollowsDirector(t, c, "after RemoveNode")
+
+	c.setMigrateFault(func(migrate.Stage, string) error { return errors.New("injected drain failure") })
+	if _, err := c.RemoveNode(ctx, 1); err == nil {
+		t.Fatal("the injected fault did not fail the drain")
+	}
+	checkRoutingFollowsDirector(t, c, "after a failed RemoveNode")
+	c.setMigrateFault(nil)
+	if err := c.RecoverMigrations(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := c.KillNode(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	checkRoutingFollowsDirector(t, c, "after KillNode")
+	if err := c.RestartNode(1); err != nil {
+		t.Fatal(err)
+	}
+	checkRoutingFollowsDirector(t, c, "after RestartNode")
+}
+
+// TestMembershipVerbGuards: the simulator refuses membership changes
+// under a baseline scheme, and refuses to remove or kill the last
+// member; a refused verb leaves routing on the director's membership.
+func TestMembershipVerbGuards(t *testing.T) {
+	ctx := context.Background()
+	base, err := NewCluster(ClusterConfig{Nodes: 2, Scheme: SchemeStateless})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	if _, err := base.AddNode(ctx, ""); err == nil {
+		t.Fatal("AddNode must require SchemeSigma")
+	}
+	checkRoutingFollowsDirector(t, base, "after a refused AddNode")
+
+	c, err := NewCluster(ClusterConfig{Nodes: 2, KeepPayloads: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.RemoveNode(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RemoveNode(ctx, 1); err == nil {
+		t.Fatal("removing the last member must fail")
+	}
+	if err := c.KillNode(ctx, 1); err == nil {
+		t.Fatal("killing the last member must fail")
+	}
+	checkRoutingFollowsDirector(t, c, "after refused removals")
+}
+
+// gatedReader serves data but stops after the first half: it signals
+// reached and blocks until release is closed.
+type gatedReader struct {
+	data             []byte
+	off, half        int
+	reached, release chan struct{}
+}
+
+func (g *gatedReader) Read(p []byte) (int, error) {
+	if g.off == g.half {
+		close(g.reached)
+		<-g.release
+		g.half = -1
+	}
+	if g.off >= len(g.data) {
+		return 0, io.EOF
+	}
+	end := len(g.data)
+	if g.half > g.off && g.half < end {
+		end = g.half
+	}
+	n := copy(p, g.data[g.off:end])
+	g.off += n
+	return n, nil
+}
+
+// TestRemoveNodeWaitsForBackups: RemoveNode is exclusive with backups.
+// While an explicit session's Backup is blocked mid-stream on its
+// reader, RemoveNode does not return; once the backup finishes, the
+// removal drains the node and the backup restores byte-identically.
+func TestRemoveNodeWaitsForBackups(t *testing.T) {
+	ctx := context.Background()
+	c, contents := elasticSim(t, 3, 6, 11000)
+	sess, err := c.NewSession(ctx, WithSessionName("held"), WithSuperChunkSize(32<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	data := make([]byte, 256<<10)
+	rand.New(rand.NewSource(11500)).Read(data)
+	r := &gatedReader{data: data, half: 128 << 10, reached: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(r.release) }) }
+	defer release()
+	backupDone := make(chan error, 1)
+	go func() { backupDone <- sess.Backup(ctx, "/held", r) }()
+	<-r.reached
+
+	removeDone := make(chan error, 1)
+	go func() {
+		_, err := c.RemoveNode(ctx, 1)
+		removeDone <- err
+	}()
+	select {
+	case err := <-removeDone:
+		t.Fatalf("RemoveNode returned (%v) while a backup was mid-stream", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	if err := <-backupDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-removeDone; err != nil {
+		t.Fatal(err)
+	}
+	checkRoutingFollowsDirector(t, c, "after RemoveNode")
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := c.Restore(ctx, "/held", &out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), data) {
+		t.Fatal("the backup RemoveNode waited for did not restore byte-identically")
+	}
+	checkRestoreAll(t, c, contents, "after RemoveNode")
 }
